@@ -252,14 +252,14 @@ func BenchmarkScaleSweep(b *testing.B) {
 			o.ScaleMode = mode
 			var topOvh float64
 			for i := 0; i < b.N; i++ {
-				res, err := harness.ScaleSweep(
+				res, err := harness.RankAxis.Sweep(
 					workloadFramework(), workload.PatternWorkload(workload.N1Strided), o)
 				if err != nil {
 					b.Fatal(err)
 				}
 				top := res.Points[len(res.Points)-1]
-				if top.Ranks != 16 {
-					b.Fatalf("top rung = %d ranks", top.Ranks)
+				if top.X != 16 {
+					b.Fatalf("top rung = %d ranks", top.X)
 				}
 				topOvh = top.ElapsedOvhFrac
 			}
@@ -339,7 +339,7 @@ func BenchmarkServerSweep(b *testing.B) {
 	o := harness.ServerSmokeOptions()
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		res, err := harness.ServerSweep(
+		res, err := harness.ServerAxis.Sweep(
 			workloadFramework(), workload.PatternWorkload(workload.N1Strided), o)
 		if err != nil {
 			b.Fatal(err)
@@ -483,7 +483,7 @@ func BenchmarkFilterMatch(b *testing.B) {
 	}
 }
 
-// --- Streaming pipeline and parallel block codec ---
+// --- Streaming pipeline and v1 block codec ---
 
 // codecRecords builds a realistic multi-megabyte trace: varied paths,
 // strided offsets, a mix of call types. ~70 encoded bytes per record.
@@ -504,38 +504,25 @@ func codecRecords(n int) []trace.Record {
 	return recs
 }
 
-// BenchmarkBinaryCodecWriter compares the serial block encoder against the
-// worker-pool encoder on a multi-MB compressed trace: the tentpole's
-// headline speedup. Both produce byte-identical output.
+// BenchmarkBinaryCodecWriter measures the v1 block encoder on a multi-MB
+// compressed trace.
 func BenchmarkBinaryCodecWriter(b *testing.B) {
 	recs := codecRecords(60000)
 	opts := trace.BinaryOptions{Compress: true, RecordsPerBlock: 512}
-	var encoded int64
-	{
-		var buf bytes.Buffer
-		trace.WriteAll(trace.NewBinaryWriter(&buf, opts), recs)
-		encoded = int64(buf.Len())
+	var buf bytes.Buffer
+	if err := trace.WriteAll(trace.NewBinaryWriter(&buf, opts), recs); err != nil {
+		b.Fatal(err)
 	}
-	b.Run("serial", func(b *testing.B) {
-		b.SetBytes(encoded)
-		for i := 0; i < b.N; i++ {
-			if err := trace.WriteAll(trace.NewBinaryWriter(io.Discard, opts), recs); err != nil {
-				b.Fatal(err)
-			}
+	b.SetBytes(int64(buf.Len()))
+	for i := 0; i < b.N; i++ {
+		if err := trace.WriteAll(trace.NewBinaryWriter(io.Discard, opts), recs); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.SetBytes(encoded)
-		for i := 0; i < b.N; i++ {
-			if err := trace.WriteAll(trace.NewParallelBinaryWriter(io.Discard, opts, 0), recs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
-// BenchmarkBinaryCodecReader compares serial and prefetching worker-pool
-// decode of the same compressed stream.
+// BenchmarkBinaryCodecReader measures v1 decode of the same compressed
+// stream.
 func BenchmarkBinaryCodecReader(b *testing.B) {
 	recs := codecRecords(60000)
 	opts := trace.BinaryOptions{Compress: true, RecordsPerBlock: 512}
@@ -548,22 +535,12 @@ func BenchmarkBinaryCodecReader(b *testing.B) {
 		_, err := trace.Copy(trace.SinkFunc(func(r *trace.Record) error { return nil }), src)
 		return err
 	}
-	b.Run("serial", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			if err := drain(trace.NewBinaryReader(bytes.NewReader(data))); err != nil {
-				b.Fatal(err)
-			}
+	b.SetBytes(int64(len(data)))
+	for i := 0; i < b.N; i++ {
+		if err := drain(trace.NewBinaryReader(bytes.NewReader(data))); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			if err := drain(trace.NewParallelBinaryReader(bytes.NewReader(data), 0)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkBinaryConversionMemory demonstrates the memory contract of the

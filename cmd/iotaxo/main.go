@@ -76,15 +76,28 @@ func main() {
 		return
 	}
 	if *exp != "" {
+		var (
+			axis harness.Axis
+			o    harness.Options
+			err  error
+			vs   string
+		)
 		switch *exp {
 		case "scaling":
-			runScaling(cache, *scaleMode, *maxRanks, *ranksPerNode, *wlName)
+			axis, vs = harness.RankAxis, "ranks"
+			o, err = harness.ResolveScaleOptions(harness.ScaleOptions(), *scaleMode, *maxRanks, *ranksPerNode, *wlName)
 		case "servers":
-			runServers(cache, *maxServers, *ranksPerNode, *wlName)
+			axis, vs = harness.ServerAxis, "PFS object servers"
+			o, err = harness.ResolveServerOptions(harness.ServerOptions(), *maxServers, 0, *ranksPerNode, *wlName)
 		default:
-			fmt.Fprintf(os.Stderr, "iotaxo: unknown experiment %q (have scaling, servers)\n", *exp)
+			err = fmt.Errorf("unknown experiment %q (have scaling, servers)", *exp)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "iotaxo: %v\n", err)
 			os.Exit(2)
 		}
+		o.Cache = cache
+		runAxis(axis, o, vs)
 		return
 	}
 
@@ -181,38 +194,12 @@ func resolveCache(dir string, noCache bool) *harness.Cache {
 	return harness.NewCache(dir)
 }
 
-// runScaling measures overhead vs rank count for every registered
-// framework: the -exp scaling experiment. Flag resolution (mode, rank
-// ladder, placement, workload axis) is shared with tracebench via
-// harness.ResolveScaleOptions.
-func runScaling(cache *harness.Cache, mode string, maxRanks, ranksPerNode int, wlName string) {
-	o, err := harness.ResolveScaleOptions(harness.ScaleOptions(), mode, maxRanks, ranksPerNode, wlName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "iotaxo: %v\n", err)
-		os.Exit(2)
-	}
-	o.Cache = cache
-	fmt.Println("# measuring overhead vs ranks on the simulated cluster...")
-	res, err := harness.ScaleMatrixSweep(o)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "iotaxo: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(res.Format())
-	fmt.Fprintln(os.Stderr, res.Stats.Footer())
-}
-
-// runServers measures overhead vs object server count for every registered
-// framework: the -exp servers experiment, the storage dual of -exp scaling.
-func runServers(cache *harness.Cache, maxServers, ranksPerNode int, wlName string) {
-	o, err := harness.ResolveServerOptions(harness.ServerOptions(), maxServers, 0, ranksPerNode, wlName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "iotaxo: %v\n", err)
-		os.Exit(2)
-	}
-	o.Cache = cache
-	fmt.Println("# measuring overhead vs PFS object servers on the simulated cluster...")
-	res, err := harness.ServerMatrixSweep(o)
+// runAxis measures overhead along one axis for every registered framework:
+// the -exp scaling and -exp servers experiments. Flag resolution is shared
+// with tracebench via harness.ResolveScaleOptions/ResolveServerOptions.
+func runAxis(axis harness.Axis, o harness.Options, vs string) {
+	fmt.Printf("# measuring overhead vs %s on the simulated cluster...\n", vs)
+	res, err := axis.MatrixSweep(o)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "iotaxo: %v\n", err)
 		os.Exit(1)

@@ -106,59 +106,47 @@ func main() {
 		o.Workloads = []workload.Workload{w}
 	}
 
-	// The scaling experiment has its own options: block size held fixed,
-	// rank ladder swept instead.
-	scaling := func() harness.ScaleMatrixResult {
-		base := harness.ScaleOptions()
-		if *quick {
-			base = harness.ScaleSmokeOptions()
-		}
+	// The scaling and servers experiments have their own options: block
+	// size held fixed, and the rank or object-server ladder swept instead.
+	axisSweep := func(name string, axis harness.Axis, base harness.Options, resolve func(harness.Options) (harness.Options, error)) harness.AxisMatrixResult {
 		if *full {
-			// Paper-scale per-rank volume; with the default 512-rank ladder
-			// this is an overnight run, like -full everywhere else. -ranks
-			// does not apply here: the rank axis is the ladder (-max-ranks).
+			// Paper-scale per-rank volume; with the default ladders this is
+			// an overnight run, like -full everywhere else.
 			base.PerRankBytes = harness.FullOptions().PerRankBytes
 		}
 		base.Seed = *seed
 		base.Cache = cache
-		so, err := harness.ResolveScaleOptions(base, *scaleMode, *maxRanks, *ranksPerNode, *wlName)
+		ao, err := resolve(base)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tracebench: %v\n", err)
 			os.Exit(2)
 		}
-		res, err := harness.ScaleMatrixSweep(so)
+		res, err := axis.MatrixSweep(ao)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracebench: scaling: %v\n", err)
+			fmt.Fprintf(os.Stderr, "tracebench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
 		fmt.Fprintln(os.Stderr, res.Stats.Footer())
 		return res
 	}
-
-	// The servers experiment is the storage dual: fixed job, object server
-	// count swept instead.
-	servers := func() harness.ServerMatrixResult {
+	scaling := func() harness.AxisMatrixResult {
+		base := harness.ScaleOptions()
+		if *quick {
+			base = harness.ScaleSmokeOptions()
+		}
+		// -ranks does not apply here: the rank axis is the ladder (-max-ranks).
+		return axisSweep("scaling", harness.RankAxis, base, func(o harness.Options) (harness.Options, error) {
+			return harness.ResolveScaleOptions(o, *scaleMode, *maxRanks, *ranksPerNode, *wlName)
+		})
+	}
+	servers := func() harness.AxisMatrixResult {
 		base := harness.ServerOptions()
 		if *quick {
 			base = harness.ServerSmokeOptions()
 		}
-		if *full {
-			base.PerRankBytes = harness.FullOptions().PerRankBytes
-		}
-		base.Seed = *seed
-		base.Cache = cache
-		so, err := harness.ResolveServerOptions(base, *maxServers, *ranks, *ranksPerNode, *wlName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracebench: %v\n", err)
-			os.Exit(2)
-		}
-		res, err := harness.ServerMatrixSweep(so)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracebench: servers: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, res.Stats.Footer())
-		return res
+		return axisSweep("servers", harness.ServerAxis, base, func(o harness.Options) (harness.Options, error) {
+			return harness.ResolveServerOptions(o, *maxServers, *ranks, *ranksPerNode, *wlName)
+		})
 	}
 
 	// matrix and table2 render the same MatrixSweep; compute it once when
@@ -208,25 +196,9 @@ func main() {
 			fmt.Println("# Framework x workload overhead matrix (every registered framework x every registered workload)")
 			fmt.Print(matrix().Format())
 		case "scaling":
-			res := scaling()
-			if *csv {
-				for _, s := range res.Series {
-					fmt.Printf("# %s on %s (%s scaling%s)\n%s", s.Framework, s.Workload, s.Mode, s.Placement(), s.CSV())
-				}
-				return
-			}
-			fmt.Println("# Overhead vs ranks (every registered framework)")
-			fmt.Print(res.Format())
+			emitAxis("# Overhead vs ranks (every registered framework)", scaling(), *csv)
 		case "servers":
-			res := servers()
-			if *csv {
-				for _, s := range res.Series {
-					fmt.Printf("# %s on %s (%d ranks%s)\n%s", s.Framework, s.Workload, s.Ranks, s.Placement(), s.CSV())
-				}
-				return
-			}
-			fmt.Println("# Overhead vs PFS object servers (every registered framework)")
-			fmt.Print(res.Format())
+			emitAxis("# Overhead vs PFS object servers (every registered framework)", servers(), *csv)
 		case "table1":
 			fmt.Println("# Table 1: summary table template")
 			fmt.Print(core.Table1Template())
@@ -319,6 +291,19 @@ func runBenchCodec(path string) {
 		fmt.Fprintln(os.Stderr, "tracebench: bench-codec: snapshot failed an acceptance bar")
 		os.Exit(1)
 	}
+}
+
+// emitAxis prints an axis matrix: every series' CSV under a one-line
+// series header, or the text tables under the experiment title.
+func emitAxis(title string, res harness.AxisMatrixResult, csv bool) {
+	if csv {
+		for _, s := range res.Series {
+			fmt.Printf("# %s on %s (%s%s)\n%s", s.Framework, s.Workload, s.Setting, s.Placement(), s.CSV())
+		}
+		return
+	}
+	fmt.Println(title)
+	fmt.Print(res.Format())
 }
 
 func emitFigure(fig harness.FigureResult, csv bool) {

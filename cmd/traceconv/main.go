@@ -7,7 +7,7 @@
 // decoder, through the optional anonymization transform, and pushed into the
 // statistics folds and the output encoder one at a time. Memory stays
 // O(block), not O(trace), so multi-gigabyte traces convert in constant
-// space; v1 encoding fans out across a worker pool.
+// space.
 //
 // Usage:
 //
@@ -36,7 +36,7 @@ type options struct {
 	in, out, to               string
 	compress                  bool
 	spans                     bool
-	workers, blockRecs        int
+	blockRecs                 int
 	stats                     bool
 	anonSpec, mode, key, salt string
 }
@@ -48,7 +48,6 @@ func main() {
 	flag.StringVar(&o.to, "to", "", "convert to format: v1 | v2 | text (aliases: binary = v1, columnar = v2)")
 	flag.BoolVar(&o.compress, "compress", false, "compress binary/columnar output")
 	flag.BoolVar(&o.spans, "spans", false, "encode causal span fields in v1 output (v2 stores them automatically)")
-	flag.IntVar(&o.workers, "workers", 0, "v1 codec worker goroutines (0 = GOMAXPROCS)")
 	flag.IntVar(&o.blockRecs, "block", 0, "records per output block (0 = format default: 512 for v1, 4096 for v2)")
 	flag.BoolVar(&o.stats, "stats", false, "print a call summary and I/O statistics")
 	flag.StringVar(&o.anonSpec, "anonymize", "", "fields to anonymize (e.g. path,uid,gid or all)")
@@ -136,7 +135,7 @@ func run(o options, stdout, stderr io.Writer) error {
 		}
 	}
 	var encOut blockEncoder
-	var closeOut func()
+	var closeOut func() error
 	switch target {
 	case "":
 		if !o.stats {
@@ -155,12 +154,12 @@ func run(o options, stdout, stderr io.Writer) error {
 			return err
 		}
 		closeOut = cl
-		encOut = trace.NewParallelBinaryWriter(w, trace.BinaryOptions{
+		encOut = trace.NewBinaryWriter(w, trace.BinaryOptions{
 			Compress:        o.compress,
 			Anonymized:      anonymized,
 			Spans:           o.spans,
 			RecordsPerBlock: o.blockRecs,
-		}, o.workers)
+		})
 		sinks = append(sinks, encOut)
 	case "v2":
 		w, cl, err := openOut(o.out)
@@ -185,7 +184,9 @@ func run(o options, stdout, stderr io.Writer) error {
 		err = cerr
 	}
 	if closeOut != nil {
-		closeOut()
+		if cerr := closeOut(); err == nil {
+			err = cerr
+		}
 	}
 	if err != nil {
 		return err
@@ -228,13 +229,15 @@ func writeNote(w blockEncoder) string {
 	return fmt.Sprintf(" (%d blocks, %d bytes)", w.BlocksWritten(), w.BytesWritten())
 }
 
-func openOut(path string) (io.Writer, func(), error) {
+// openOut opens the conversion's destination (stdout when path is empty)
+// and returns its closer, whose error reports a failed final write.
+func openOut(path string) (io.Writer, func() error, error) {
 	if path == "" {
-		return os.Stdout, func() {}, nil
+		return os.Stdout, func() error { return nil }, nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	return f, func() { f.Close() }, nil
+	return f, f.Close, nil
 }

@@ -188,13 +188,7 @@ func BenchLadder(maxRanks int) (BenchLadderSnapshot, error) {
 func benchRung(o Options, fw framework.Framework, w workload.Workload, ranks int) error {
 	runs := newSweepRuns(1)
 	ts := newTaskSet(o.cacheOrEphemeral())
-	ro := o
-	ro.Ranks = ranks
-	sc := o.scaleRung(ranks)
-	ts.untraced(ro, w, sc, &runs.uns[0])
-	ts.traced(ro, fw, w, sc,
-		fmt.Sprintf("%s, %s, ranks %d", fw.Name(), w.Name(), ranks),
-		&runs.reps[0], &runs.errs[0])
+	RankAxis.addRung(o, ts, fw, w, runs, 0, ranks)
 	ts.run()
 	return runs.errs[0]
 }

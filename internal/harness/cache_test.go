@@ -84,14 +84,14 @@ func TestScaleMatrixWarmCacheByteIdentical(t *testing.T) {
 	o := ScaleSmokeOptions()
 	o.Workloads = []workload.Workload{workload.PatternWorkload(workload.N1Strided)}
 	o.Cache = NewCache("")
-	cold, err := ScaleMatrixSweep(o)
+	cold, err := RankAxis.MatrixSweep(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Stats.Executed == 0 {
 		t.Fatal("cold scale matrix executed no simulations")
 	}
-	warm, err := ScaleMatrixSweep(o)
+	warm, err := RankAxis.MatrixSweep(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestServerMatrixWarmCache(t *testing.T) {
 	o := ServerSmokeOptions()
 	o.Workloads = []workload.Workload{workload.PatternWorkload(workload.NToN)}
 	o.Cache = NewCache("")
-	cold, err := ServerMatrixSweep(o)
+	cold, err := ServerAxis.MatrixSweep(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := ServerMatrixSweep(o)
+	warm, err := ServerAxis.MatrixSweep(o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,7 +238,7 @@ func BenchCodec() (CodecSnapshot, error) {
 		return snap, err
 	}
 	start := time.Now()
-	n1, err := trace.Copy(discardSink{}, trace.NewParallelBinaryReader(bytes.NewReader(v1All), 0))
+	n1, err := trace.Copy(discardSink{}, trace.NewBinaryReader(bytes.NewReader(v1All)))
 	if err != nil {
 		return snap, fmt.Errorf("v1 decode: %w", err)
 	}

@@ -51,12 +51,12 @@ type Options struct {
 	// registered workload.
 	Workloads []workload.Workload
 
-	// MaxRanks bounds the rank ladder of the scaling experiments (ScaleSweep
-	// and ScaleMatrixSweep): ranks double from 4 up to MaxRanks. Zero means
-	// DefaultMaxRanks.
-	MaxRanks int
+	// MaxRung is the top rung of an Axis sweep's ladder (ranks on
+	// RankAxis, object servers on ServerAxis): rungs double from the axis's
+	// base up to MaxRung. Zero means the axis default.
+	MaxRung int
 	// ScaleMode selects weak scaling (fixed per-rank volume) or strong
-	// scaling (fixed total volume) for the scaling experiments.
+	// scaling (fixed total volume) for RankAxis sweeps.
 	ScaleMode ScaleMode
 
 	// RanksPerNode is the placement axis: how many MPI ranks share one
@@ -64,13 +64,8 @@ type Options struct {
 	// one means the paper's one-rank-per-node testbed.
 	RanksPerNode int
 	// PFSServers overrides the parallel file system's object server count;
-	// zero keeps the testbed default. The server-count scaling experiments
-	// (ServerSweep) sweep this axis.
+	// zero keeps the testbed default. ServerAxis sweeps this field.
 	PFSServers int
-	// MaxServers bounds the server ladder of ServerSweep and
-	// ServerMatrixSweep: servers double from 1 up to MaxServers. Zero means
-	// DefaultMaxServers.
-	MaxServers int
 
 	// Cache memoizes leaf-simulation summaries across engine calls (and,
 	// when the cache persists to disk, across processes). Nil gives every
@@ -383,15 +378,16 @@ func (o Options) addSweepTasks(ts *taskSet, fw framework.Framework, w workload.W
 	}
 }
 
-// assemble folds completed runs into the figure's points.
-func (o Options) assemble(fig *FigureResult, runs *sweepRuns) error {
+// blockPoints folds one cell's completed runs into its per-block points.
+func (o Options) blockPoints(runs *sweepRuns) ([]BandwidthPoint, error) {
+	pts := make([]BandwidthPoint, len(o.BlockSizes))
 	for i, block := range o.BlockSizes {
 		if err := runs.errs[i]; err != nil {
-			return err
+			return pts, err
 		}
-		fig.Points[i] = makePoint(block, runs.uns[i], runs.reps[i])
+		pts[i] = makePoint(block, runs.uns[i], runs.reps[i])
 	}
-	return nil
+	return pts, nil
 }
 
 // Sweep measures one framework against one workload across the options'
@@ -404,18 +400,12 @@ func Sweep(fw framework.Framework, w workload.Workload, o Options) (FigureResult
 }
 
 func (o Options) sweep(id, title string, fw framework.Framework, w workload.Workload) (FigureResult, error) {
-	fig := FigureResult{
+	o.Workloads = []workload.Workload{w}
+	m, err := MatrixSweepOf(o, fw)
+	return FigureResult{
 		ID: id, Title: title, Framework: fw.Name(), Workload: w.Name(),
-		Points: make([]BandwidthPoint, len(o.BlockSizes)),
-	}
-	runs := newSweepRuns(len(o.BlockSizes))
-	ts := newTaskSet(o.cacheOrEphemeral())
-	o.addSweepTasks(ts, fw, w, runs)
-	ts.run()
-	if err := o.assemble(&fig, runs); err != nil {
-		return fig, err
-	}
-	return fig, nil
+		Points: m.Cells[0].Points,
+	}, err
 }
 
 // mustSweep wraps sweep for the built-in figures, whose frameworks cannot

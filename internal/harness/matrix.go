@@ -90,36 +90,50 @@ func MatrixSweep(o Options) (MatrixResult, error) {
 // executes one untraced run per cell-column and a warm repeat executes
 // nothing — with byte-identical output either way.
 func MatrixSweepOf(o Options, fws ...framework.Framework) (MatrixResult, error) {
+	cells, stats, err := matrixSweepOf(o, fws, len(o.BlockSizes), o.addSweepTasks,
+		func(fw framework.Framework, w workload.Workload, runs *sweepRuns) (MatrixCell, error) {
+			pts, err := o.blockPoints(runs)
+			return MatrixCell{Framework: fw.Name(), Workload: w.Name(), Points: pts}, err
+		})
+	return MatrixResult{Workloads: o.matrixWorkloads(), Cells: cells, Stats: stats, fws: fws}, err
+}
+
+// matrixSweepOf is the framework x workload fan-out behind every matrix
+// engine (block sizes, and each Axis): every pair's runs are staged into one
+// task set for the bounded scheduler (shared baselines, cache memoization,
+// shortest-first ordering), then assembled into a row-major
+// (framework-major) slice with the call's cache/scheduler accounting.
+func matrixSweepOf[R any](
+	o Options, fws []framework.Framework, rungs int,
+	add func(*taskSet, framework.Framework, workload.Workload, *sweepRuns),
+	assemble func(framework.Framework, workload.Workload, *sweepRuns) (R, error),
+) ([]R, SweepStats, error) {
 	workloads := o.matrixWorkloads()
-	m := MatrixResult{
-		Workloads: workloads,
-		Cells:     make([]MatrixCell, len(fws)*len(workloads)),
-		fws:       fws,
-	}
+	series := make([]R, len(fws)*len(workloads))
+	runs := make([]*sweepRuns, len(series))
 	cache := o.cacheOrEphemeral()
 	before := cache.Stats()
 	ts := newTaskSet(cache)
-	runs := make([]*sweepRuns, len(m.Cells))
 	for fi, fw := range fws {
 		for wi, w := range workloads {
 			idx := fi*len(workloads) + wi
-			runs[idx] = newSweepRuns(len(o.BlockSizes))
-			o.addSweepTasks(ts, fw, w, runs[idx])
+			runs[idx] = newSweepRuns(rungs)
+			add(ts, fw, w, runs[idx])
 		}
 	}
 	ts.run()
-	m.Stats = sweepStatsSince(cache, before)
+	stats := sweepStatsSince(cache, before)
 	for fi, fw := range fws {
 		for wi, w := range workloads {
 			idx := fi*len(workloads) + wi
-			fig := FigureResult{Points: make([]BandwidthPoint, len(o.BlockSizes))}
-			if err := o.assemble(&fig, runs[idx]); err != nil {
-				return m, err
+			s, err := assemble(fw, w, runs[idx])
+			if err != nil {
+				return series, stats, err
 			}
-			m.Cells[idx] = MatrixCell{Framework: fw.Name(), Workload: w.Name(), Points: fig.Points}
+			series[idx] = s
 		}
 	}
-	return m, nil
+	return series, stats, nil
 }
 
 // FrameworkNames returns the matrix's row order.

@@ -194,7 +194,7 @@ func TestMatrixSweepNeverExceedsPool(t *testing.T) {
 func TestScaleSweepNeverExceedsPool(t *testing.T) {
 	o := ScaleSmokeOptions()
 	sched.resetPeak()
-	if _, err := ScaleSweep(framework.MustLookup("Tracefs"), workload.PatternWorkload(workload.N1Strided), o); err != nil {
+	if _, err := RankAxis.Sweep(framework.MustLookup("Tracefs"), workload.PatternWorkload(workload.N1Strided), o); err != nil {
 		t.Fatal(err)
 	}
 	if peak := sched.peakConcurrency(); peak < 1 || peak > PoolSize() {
@@ -227,9 +227,9 @@ func TestParseScaleMode(t *testing.T) {
 }
 
 func TestRankLadder(t *testing.T) {
-	o := Options{MaxRanks: 512}
+	o := Options{MaxRung: 512}
 	want := []int{4, 8, 16, 32, 64, 128, 256, 512}
-	got := o.rankLadder()
+	got := RankAxis.ladder(o)
 	if len(got) != len(want) {
 		t.Fatalf("ladder = %v, want %v", got, want)
 	}
@@ -239,41 +239,41 @@ func TestRankLadder(t *testing.T) {
 		}
 	}
 	// A top rung off the doubling grid is still included.
-	o.MaxRanks = 48
-	got = o.rankLadder()
+	o.MaxRung = 48
+	got = RankAxis.ladder(o)
 	if got[len(got)-1] != 48 || got[len(got)-2] != 32 {
 		t.Fatalf("off-grid ladder = %v", got)
 	}
 	// Zero defaults.
-	if top := (Options{}).rankLadder(); top[len(top)-1] != DefaultMaxRanks {
+	if top := RankAxis.ladder(Options{}); top[len(top)-1] != DefaultMaxRanks {
 		t.Fatalf("default ladder top = %d", top[len(top)-1])
 	}
 }
 
 func TestScaleSweepWeakShape(t *testing.T) {
 	o := ScaleSmokeOptions()
-	res, err := ScaleSweep(framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
+	res, err := RankAxis.Sweep(framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ladder := o.rankLadder()
+	ladder := RankAxis.ladder(o)
 	if len(res.Points) != len(ladder) {
 		t.Fatalf("points = %d, want %d", len(res.Points), len(ladder))
 	}
 	for i, p := range res.Points {
-		if p.Ranks != ladder[i] {
-			t.Fatalf("point %d ranks = %d, want %d", i, p.Ranks, ladder[i])
+		if p.X != ladder[i] {
+			t.Fatalf("point %d ranks = %d, want %d", i, p.X, ladder[i])
 		}
 		// Weak scaling: per-rank volume is constant along the ladder.
 		if p.PerRankBytes != o.PerRankBytes {
-			t.Fatalf("weak per-rank = %d at %d ranks, want %d", p.PerRankBytes, p.Ranks, o.PerRankBytes)
+			t.Fatalf("weak per-rank = %d at %d ranks, want %d", p.PerRankBytes, p.X, o.PerRankBytes)
 		}
 		// ltrace-style interposition must cost elapsed time at every rung.
 		if p.ElapsedOvhFrac <= 0 {
-			t.Fatalf("no overhead at %d ranks", p.Ranks)
+			t.Fatalf("no overhead at %d ranks", p.X)
 		}
 		if p.TraceEvents == 0 {
-			t.Fatalf("no events traced at %d ranks", p.Ranks)
+			t.Fatalf("no events traced at %d ranks", p.X)
 		}
 	}
 	out := res.Format()
@@ -291,15 +291,15 @@ func TestScaleSweepWeakShape(t *testing.T) {
 func TestScaleSweepStrongHalvesPerRank(t *testing.T) {
 	o := ScaleSmokeOptions()
 	o.ScaleMode = StrongScaling
-	res, err := ScaleSweep(framework.MustLookup("Tracefs"), workload.PatternWorkload(workload.NToN), o)
+	res, err := RankAxis.Sweep(framework.MustLookup("Tracefs"), workload.PatternWorkload(workload.NToN), o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(res.Points); i++ {
 		prev, cur := res.Points[i-1], res.Points[i]
-		if cur.Ranks == prev.Ranks*2 && cur.PerRankBytes > prev.PerRankBytes {
+		if cur.X == prev.X*2 && cur.PerRankBytes > prev.PerRankBytes {
 			t.Fatalf("strong scaling per-rank grew: %d ranks = %d bytes, %d ranks = %d bytes",
-				prev.Ranks, prev.PerRankBytes, cur.Ranks, cur.PerRankBytes)
+				prev.X, prev.PerRankBytes, cur.X, cur.PerRankBytes)
 		}
 	}
 	if !strings.Contains(res.Format(), "strong scaling") {
@@ -313,7 +313,7 @@ func TestScaleSweepStrongHalvesPerRank(t *testing.T) {
 func TestScaleSweepDeterministic(t *testing.T) {
 	o := ScaleSmokeOptions()
 	run := func() string {
-		res, err := ScaleSweep(framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
+		res, err := RankAxis.Sweep(framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,13 +336,13 @@ func TestScaleSweepDeterministic(t *testing.T) {
 // run exercises the full 4096 ladder.
 func TestScaleSweepDeterministic4096(t *testing.T) {
 	o := ScaleOptions()
-	o.MaxRanks = 4096
+	o.MaxRung = 4096
 	o.PerRankBytes = 256 << 10
 	if raceEnabled || testing.Short() {
-		o.MaxRanks = 1024
+		o.MaxRung = 1024
 	}
 	run := func() string {
-		res, err := ScaleSweep(framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
+		res, err := RankAxis.Sweep(framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,9 +356,9 @@ func TestScaleSweepDeterministic4096(t *testing.T) {
 
 func TestScaleMatrixCoversRegistry(t *testing.T) {
 	o := ScaleSmokeOptions()
-	o.MaxRanks = 8
+	o.MaxRung = 8
 	o.Workloads = []workload.Workload{workload.PatternWorkload(workload.N1Strided)}
-	m, err := ScaleMatrixSweep(o)
+	m, err := RankAxis.MatrixSweep(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestScaleMatrixCoversRegistry(t *testing.T) {
 		if m.Series[i].Framework != name {
 			t.Fatalf("series %d framework = %q, want %q", i, m.Series[i].Framework, name)
 		}
-		if len(m.Series[i].Points) != len(o.rankLadder()) {
+		if len(m.Series[i].Points) != len(RankAxis.ladder(o)) {
 			t.Fatalf("series %d has %d points", i, len(m.Series[i].Points))
 		}
 	}

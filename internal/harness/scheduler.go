@@ -77,8 +77,8 @@ func ParseMemBudget(s string) (int64, error) {
 	return int64(n * float64(int64(1)<<shift)), nil
 }
 
-// sched is the package-wide scheduler shared by Sweep, MatrixSweepOf,
-// ScaleSweep, and the deep-dive experiments: concurrent engines draw from
+// sched is the package-wide scheduler shared by Sweep, MatrixSweepOf, the
+// Axis sweeps, and the deep-dive experiments: concurrent engines draw from
 // one slot pool, so the bound holds globally, not per call.
 var sched = newScheduler(defaultPoolSize())
 

@@ -9,9 +9,9 @@ import (
 )
 
 func TestServerLadder(t *testing.T) {
-	o := Options{MaxServers: 16}
+	o := Options{MaxRung: 16}
 	want := []int{1, 2, 4, 8, 16}
-	got := o.serverLadder()
+	got := ServerAxis.ladder(o)
 	if len(got) != len(want) {
 		t.Fatalf("ladder = %v, want %v", got, want)
 	}
@@ -22,13 +22,13 @@ func TestServerLadder(t *testing.T) {
 	}
 	// A top rung off the doubling grid — the paper testbed's 12 servers —
 	// is still included.
-	o.MaxServers = 12
-	got = o.serverLadder()
+	o.MaxRung = 12
+	got = ServerAxis.ladder(o)
 	if got[len(got)-1] != 12 || got[len(got)-2] != 8 {
 		t.Fatalf("off-grid ladder = %v", got)
 	}
 	// Zero defaults.
-	if top := (Options{}).serverLadder(); top[len(top)-1] != DefaultMaxServers {
+	if top := ServerAxis.ladder(Options{}); top[len(top)-1] != DefaultMaxServers {
 		t.Fatalf("default ladder top = %d", top[len(top)-1])
 	}
 }
@@ -38,7 +38,7 @@ func TestResolveServerOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.MaxServers != 8 || o.Ranks != 16 || o.RanksPerNode != 2 {
+	if o.MaxRung != 8 || o.Ranks != 16 || o.RanksPerNode != 2 {
 		t.Fatalf("resolved %+v", o)
 	}
 	if len(o.Workloads) != 1 || o.Workloads[0].Name() != workload.N1Strided.String() {
@@ -57,20 +57,20 @@ func TestResolveServerOptions(t *testing.T) {
 
 func TestServerSweepShape(t *testing.T) {
 	o := ServerSmokeOptions()
-	res, err := ServerSweep(framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
+	res, err := ServerAxis.Sweep(framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ladder := o.serverLadder()
+	ladder := ServerAxis.ladder(o)
 	if len(res.Points) != len(ladder) {
 		t.Fatalf("points = %d, want %d", len(res.Points), len(ladder))
 	}
 	for i, p := range res.Points {
-		if p.Servers != ladder[i] {
-			t.Fatalf("point %d servers = %d, want %d", i, p.Servers, ladder[i])
+		if p.X != ladder[i] {
+			t.Fatalf("point %d servers = %d, want %d", i, p.X, ladder[i])
 		}
 		if p.UntracedMBps <= 0 || p.TracedMBps <= 0 {
-			t.Fatalf("no bandwidth at %d servers", p.Servers)
+			t.Fatalf("no bandwidth at %d servers", p.X)
 		}
 	}
 	// More object servers must raise untraced bandwidth across the ladder
@@ -95,9 +95,9 @@ func TestServerSweepShape(t *testing.T) {
 
 func TestServerMatrixCoversRegistry(t *testing.T) {
 	o := ServerSmokeOptions()
-	o.MaxServers = 2
+	o.MaxRung = 2
 	o.Workloads = []workload.Workload{workload.PatternWorkload(workload.N1Strided)}
-	m, err := ServerMatrixSweep(o)
+	m, err := ServerAxis.MatrixSweep(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestServerMatrixCoversRegistry(t *testing.T) {
 func TestServerSweepDeterministic(t *testing.T) {
 	o := ServerSmokeOptions()
 	run := func() string {
-		res, err := ServerSweep(framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
+		res, err := ServerAxis.Sweep(framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestPlacementSweepDeterministic(t *testing.T) {
 	o := ScaleSmokeOptions()
 	o.RanksPerNode = 4
 	run := func() string {
-		res, err := ScaleSweep(framework.MustLookup("Tracefs"), workload.PatternWorkload(workload.N1Strided), o)
+		res, err := RankAxis.Sweep(framework.MustLookup("Tracefs"), workload.PatternWorkload(workload.N1Strided), o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -217,7 +217,7 @@ func TestRawTraceStreamsBaselineRun(t *testing.T) {
 	// Stream the baseline run's records straight into the binary codec as
 	// they are observed — the emitter side of the pipeline.
 	var buf bytes.Buffer
-	bw := trace.NewParallelBinaryWriter(&buf, trace.BinaryOptions{Compress: true, RecordsPerBlock: 32}, 2)
+	bw := trace.NewBinaryWriter(&buf, trace.BinaryOptions{Compress: true, RecordsPerBlock: 32})
 	cfg := DefaultConfig()
 	cfg.SampledRanks = 0
 	cfg.RawTrace = bw
@@ -228,7 +228,7 @@ func TestRawTraceStreamsBaselineRun(t *testing.T) {
 	if err := bw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := trace.NewParallelBinaryReader(&buf, 2).ReadAll()
+	recs, err := trace.NewBinaryReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestRawTraceStreamsBaselineRun(t *testing.T) {
 	// Only the baseline run emits: re-generating with sampling must not
 	// multiply the stream.
 	var buf2 bytes.Buffer
-	bw2 := trace.NewParallelBinaryWriter(&buf2, trace.BinaryOptions{Compress: true, RecordsPerBlock: 32}, 2)
+	bw2 := trace.NewBinaryWriter(&buf2, trace.BinaryOptions{Compress: true, RecordsPerBlock: 32})
 	cfg2 := DefaultConfig()
 	cfg2.SampledRanks = -1 // probe every rank
 	cfg2.RawTrace = bw2
@@ -252,7 +252,7 @@ func TestRawTraceStreamsBaselineRun(t *testing.T) {
 	if err := bw2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs2, err := trace.NewParallelBinaryReader(&buf2, 2).ReadAll()
+	recs2, err := trace.NewBinaryReader(&buf2).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,7 +133,7 @@ func (b *BinaryWriter) BytesWritten() int64 { return b.n }
 func (b *BinaryWriter) BlocksWritten() int64 { return b.blocks }
 
 // frameBlock compresses (optionally) and frames one block payload with its
-// length and CRC-32: the unit of work the parallel codec distributes.
+// length and CRC-32.
 func frameBlock(payload []byte, compress bool) ([]byte, error) {
 	if compress {
 		var cb bytes.Buffer
@@ -297,6 +297,7 @@ type BinaryReader struct {
 	r       io.Reader
 	flags   byte
 	started bool
+	raw     bytes.Buffer // the current block's payload as read, reused
 	block   *bytes.Reader
 	blocks  int64
 }
@@ -339,10 +340,13 @@ func (b *BinaryReader) nextBlock() error {
 	if plen > 1<<30 {
 		return fmt.Errorf("%w: unreasonable block size %d", ErrCorrupt, plen)
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(b.r, payload); err != nil {
+	// The payload buffer grows with the bytes actually read, so a header
+	// claiming a huge block cannot force a huge allocation up front.
+	b.raw.Reset()
+	if n, err := b.raw.ReadFrom(io.LimitReader(b.r, int64(plen))); err != nil || n < int64(plen) {
 		return fmt.Errorf("%w: truncated block", ErrCorrupt)
 	}
+	payload := b.raw.Bytes()
 	if crc32.ChecksumIEEE(payload) != want {
 		return fmt.Errorf("%w: block CRC mismatch", ErrCorrupt)
 	}

@@ -430,6 +430,14 @@ type scanEngine struct {
 	stats ScanStats
 }
 
+// defaultWorkers resolves a worker-count knob: <=0 selects GOMAXPROCS.
+func defaultWorkers(n int) int {
+	if n > 0 {
+		return n
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // newScanEngine starts the pool over the blocks matching q.
 func (c *ColumnarReader) newScanEngine(q Query, workers int, materialize bool) *scanEngine {
 	workers = defaultWorkers(workers)

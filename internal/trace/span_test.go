@@ -61,27 +61,6 @@ func TestBinarySpanRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParallelBinarySpanRoundTrip(t *testing.T) {
-	in := withSpans(normalizeArgs(randomRecords(500, 21)), 22)
-	var buf bytes.Buffer
-	w := NewParallelBinaryWriter(&buf, BinaryOptions{Spans: true, RecordsPerBlock: 64}, 4)
-	for i := range in {
-		if err := w.Write(&in[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := NewParallelBinaryReader(bytes.NewReader(buf.Bytes()), 4).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, normalizeArgs(out)) {
-		t.Fatal("parallel span round trip mismatch")
-	}
-}
-
 // TestBinaryDefaultDropsSpans pins v1 backward compatibility: with spans off
 // (the default), the encoded stream is byte-identical to one built from
 // span-less records — existing readers and goldens see the classic format —

@@ -346,11 +346,9 @@ func WriteAll(dst Sink, recs []Record) error {
 var (
 	_ Source = (*TextReader)(nil)
 	_ Source = (*BinaryReader)(nil)
-	_ Source = (*ParallelBinaryReader)(nil)
 	_ Source = (*ColumnarSource)(nil)
 	_ Source = (*ColumnarScan)(nil)
 	_ Sink   = (*TextWriter)(nil)
 	_ Sink   = (*BinaryWriter)(nil)
-	_ Sink   = (*ParallelBinaryWriter)(nil)
 	_ Sink   = (*ColumnarWriter)(nil)
 )

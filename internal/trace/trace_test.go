@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -241,6 +243,90 @@ func TestBinaryDetectsTruncation(t *testing.T) {
 	_, err := NewBinaryReader(bytes.NewReader(data)).ReadAll()
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+}
+
+// mkBlocks encodes `blocks` v1 blocks of `perBlock` random records each.
+func mkBlocks(t *testing.T, blocks, perBlock int, compress bool) []byte {
+	t.Helper()
+	recs := randomRecords(blocks*perBlock, 37)
+	var buf bytes.Buffer
+	if err := WriteAll(NewBinaryWriter(&buf, BinaryOptions{Compress: compress, RecordsPerBlock: perBlock}), recs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// blockOffsets walks the frame headers and returns each block's start.
+func blockOffsets(t *testing.T, data []byte) []int {
+	t.Helper()
+	var offs []int
+	pos := 9 // magic + flags
+	for pos < len(data) {
+		offs = append(offs, pos)
+		plen := int(binary.LittleEndian.Uint32(data[pos:]))
+		pos += 8 + plen
+	}
+	return offs
+}
+
+// Mid-stream CRC corruption must yield every record of the blocks before
+// the bad one, then ErrCorrupt.
+func TestReadersMidStreamCRCCorruption(t *testing.T) {
+	const perBlock = 16
+	data := mkBlocks(t, 4, perBlock, false)
+	offs := blockOffsets(t, data)
+	if len(offs) != 4 {
+		t.Fatalf("expected 4 blocks, found %d", len(offs))
+	}
+	// Flip a byte inside block 2's payload.
+	bad := append([]byte(nil), data...)
+	bad[offs[2]+8] ^= 0xFF
+	t.Run("serial", func(t *testing.T) {
+		recs, err := NewBinaryReader(bytes.NewReader(bad)).ReadAll()
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("err = %v, want ErrCorrupt", err)
+		}
+		if len(recs) != 2*perBlock {
+			t.Fatalf("got %d records before the corrupt block, want %d", len(recs), 2*perBlock)
+		}
+	})
+}
+
+// ... and truncation mid-block behaves the same way.
+func TestReadersMidStreamTruncation(t *testing.T) {
+	const perBlock = 16
+	data := mkBlocks(t, 4, perBlock, true)
+	offs := blockOffsets(t, data)
+	// Cut the stream in the middle of block 3's payload.
+	cut := data[:offs[3]+10]
+	t.Run("serial", func(t *testing.T) {
+		recs, err := NewBinaryReader(bytes.NewReader(cut)).ReadAll()
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("err = %v, want ErrCorrupt", err)
+		}
+		if len(recs) != 3*perBlock {
+			t.Fatalf("got %d records before truncation, want %d", len(recs), 3*perBlock)
+		}
+	})
+}
+
+// A block header may claim up to 1 GiB; the reader must not allocate that
+// before the payload bytes actually arrive. The 17-byte stream is the magic,
+// flags 0, and one header declaring a 2^30-byte block with CRC 0.
+func TestBinaryHugeBlockHeaderBoundedAlloc(t *testing.T) {
+	data := append(append([]byte(nil), binaryMagic[:]...), 0)
+	data = binary.LittleEndian.AppendUint32(data, 1<<30)
+	data = binary.LittleEndian.AppendUint32(data, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewBinaryReader(bytes.NewReader(data)).ReadAll()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "truncated block") {
+		t.Fatalf("err = %v, want ErrCorrupt truncated block", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("decoding %d bytes allocated %.1f MiB, want < 1 MiB", len(data), float64(alloc)/(1<<20))
 	}
 }
 

@@ -69,55 +69,84 @@ type Slice struct {
 	Paths    []CriticalPath
 }
 
-// SliceRecords attributes latency across layers by exclusive time: each
-// record's duration minus the summed durations of its direct children
-// (clamped at zero — concurrent children can overlap their parent). Roots
-// are records whose parent span does not appear in the set. maxPaths limits
-// the critical-path breakdowns reported for the slowest roots (0 = none).
+// SpanIndex is the causal-span index over one record set: for every span,
+// the positions of the records it directly caused. It is the one join the
+// cross-layer analyses read — SliceRecords for per-layer exclusive time and
+// critical paths, multilayer.Analyze for per-call attribution.
+type SpanIndex struct {
+	recs     []trace.Record
+	children map[uint64][]int
+	haveSpan map[uint64]bool
+}
+
+// IndexSpans indexes recs by parent span. Records without span info are
+// nobody's child.
+func IndexSpans(recs []trace.Record) *SpanIndex {
+	ix := &SpanIndex{
+		recs:     recs,
+		children: make(map[uint64][]int),
+		haveSpan: make(map[uint64]bool, len(recs)),
+	}
+	for i := range recs {
+		r := &recs[i]
+		if !r.HasSpan() {
+			continue
+		}
+		ix.haveSpan[r.Span] = true
+		if r.Parent != 0 {
+			ix.children[r.Parent] = append(ix.children[r.Parent], i)
+		}
+	}
+	return ix
+}
+
+// Children returns the positions of the records recs[i] directly caused,
+// in record order.
+func (ix *SpanIndex) Children(i int) []int { return ix.children[ix.recs[i].Span] }
+
+// Exclusive returns recs[i]'s duration minus the summed durations of its
+// direct children, clamped at zero: parallel children (striped RPCs, RAID
+// fan-out) can overlap their parent.
+func (ix *SpanIndex) Exclusive(i int) sim.Duration {
+	excl := ix.recs[i].Dur
+	for _, c := range ix.Children(i) {
+		excl -= ix.recs[c].Dur
+	}
+	return max(excl, 0)
+}
+
+// root reports whether recs[i] carries span info and its parent span does
+// not appear in the set.
+func (ix *SpanIndex) root(i int) bool {
+	r := &ix.recs[i]
+	return r.HasSpan() && (r.Parent == 0 || !ix.haveSpan[r.Parent])
+}
+
+// SliceRecords attributes latency across layers by exclusive time
+// (SpanIndex.Exclusive). Roots are records whose parent span does not
+// appear in the set. maxPaths limits the critical-path breakdowns reported
+// for the slowest roots (0 = none).
 func SliceRecords(recs []trace.Record, maxPaths int) *Slice {
+	ix := IndexSpans(recs)
 	out := &Slice{}
 	layers := make(map[string]*LayerSlice)
-	layerOf := func(name string) *LayerSlice {
-		ls, ok := layers[name]
-		if !ok {
-			ls = &LayerSlice{Layer: name}
-			layers[name] = ls
-		}
-		return ls
-	}
-	// Index children by parent span and accumulate per-layer totals.
-	children := make(map[uint64][]int)
-	haveSpan := make(map[uint64]bool, len(recs))
+	var roots []int
 	for i := range recs {
 		r := &recs[i]
 		if !r.HasSpan() {
 			out.Spanless++
 			continue
 		}
-		haveSpan[r.Span] = true
-		if r.Parent != 0 {
-			children[r.Parent] = append(children[r.Parent], i)
+		name := SliceLayer(r.Class)
+		ls, ok := layers[name]
+		if !ok {
+			ls = &LayerSlice{Layer: name}
+			layers[name] = ls
 		}
-		ls := layerOf(SliceLayer(r.Class))
 		ls.Records++
 		ls.Total += r.Dur
-	}
-	var roots []int
-	for i := range recs {
-		r := &recs[i]
-		if !r.HasSpan() {
-			continue
-		}
-		var childTime sim.Duration
-		for _, c := range children[r.Span] {
-			childTime += recs[c].Dur
-		}
-		excl := r.Dur - childTime
-		if excl < 0 {
-			excl = 0 // parallel children (striped RPCs, RAID fan-out)
-		}
-		layerOf(SliceLayer(r.Class)).Exclusive += excl
-		if r.Parent == 0 || !haveSpan[r.Parent] {
+		ls.Exclusive += ix.Exclusive(i)
+		if ix.root(i) {
 			roots = append(roots, i)
 		}
 	}
@@ -142,28 +171,28 @@ func SliceRecords(recs []trace.Record, maxPaths int) *Slice {
 			roots = roots[:maxPaths]
 		}
 		for _, ri := range roots {
-			out.Paths = append(out.Paths, criticalPath(recs, children, ri))
+			out.Paths = append(out.Paths, ix.criticalPath(ri))
 		}
 	}
 	return out
 }
 
 // criticalPath walks the max-duration child at every level below root.
-func criticalPath(recs []trace.Record, children map[uint64][]int, root int) CriticalPath {
-	cp := CriticalPath{Root: recs[root]}
+func (ix *SpanIndex) criticalPath(root int) CriticalPath {
+	cp := CriticalPath{Root: ix.recs[root]}
 	cur := root
 	for {
-		kids := children[recs[cur].Span]
+		kids := ix.Children(cur)
 		if len(kids) == 0 {
 			break
 		}
 		best := kids[0]
 		for _, k := range kids[1:] {
-			if recs[k].Dur > recs[best].Dur {
+			if ix.recs[k].Dur > ix.recs[best].Dur {
 				best = k
 			}
 		}
-		r := &recs[best]
+		r := &ix.recs[best]
 		cp.Steps = append(cp.Steps, PathStep{
 			Layer: SliceLayer(r.Class), Name: r.Name, Node: r.Node, Dur: r.Dur,
 		})

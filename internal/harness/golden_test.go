@@ -1,14 +1,11 @@
 package harness
 
 import (
-	"flag"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
+	"iotaxo/internal/golden"
+)
 
 // TestAxisSweepGoldens pins the rendered bytes of the rank and server
 // sweeps: Format and every series' CSV of the smoke ladders, in weak and
@@ -42,45 +39,8 @@ func TestAxisSweepGoldens(t *testing.T) {
 			for _, s := range m.Series {
 				csv.WriteString("# " + s.Framework + " on " + s.Workload + s.Placement() + "\n" + s.CSV())
 			}
-			checkGolden(t, tc.name+".txt.golden", m.Format())
-			checkGolden(t, tc.name+".csv.golden", csv.String())
+			golden.Check(t, tc.name+".txt.golden", m.Format())
+			golden.Check(t, tc.name+".csv.golden", csv.String())
 		})
-	}
-}
-
-// checkGolden compares got against testdata/name (rewriting it under
-// -update), reporting the first differing line on a mismatch.
-func checkGolden(t *testing.T, name, got string) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := string(b)
-	if got == want {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
-	for i := 0; i < max(len(gl), len(wl)); i++ {
-		var g, w string
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if g != w {
-			t.Fatalf("%s: first difference at line %d:\n got %q\nwant %q", path, i+1, g, w)
-		}
 	}
 }

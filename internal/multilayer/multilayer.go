@@ -6,11 +6,12 @@
 //
 // The tracer observes the same application simultaneously at three layers —
 // the MPI library boundary, the system-call boundary, and the VFS/file-
-// system boundary — then correlates events by interval containment within
-// each rank to attribute every I/O call's latency to a layer:
+// system boundary — and every record carries the causal span of the
+// operation that issued it. Analyze projects each MPI I/O call's span
+// subtree in the analysis package's span index onto three layers:
 //
-//	library  = MPI call time not spent in system calls
-//	kernel   = system-call time not spent in the file system
+//	library  = MPI call time not spent in its system calls
+//	kernel   = system-call time not spent in their file-system ops
 //	storage  = file-system time (client striping, network, servers, disks)
 //
 // This is the cross-layer picture none of the single-layer frameworks can
@@ -20,9 +21,9 @@ package multilayer
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
+	"iotaxo/internal/analysis"
 	"iotaxo/internal/cluster"
 	"iotaxo/internal/core"
 	"iotaxo/internal/interpose"
@@ -46,26 +47,6 @@ const (
 	LayerDisk
 )
 
-// String implements fmt.Stringer.
-func (l Layer) String() string {
-	switch l {
-	case LayerLibrary:
-		return "library"
-	case LayerSyscall:
-		return "kernel"
-	case LayerFS:
-		return "storage"
-	case LayerNet:
-		return "net"
-	case LayerPFS:
-		return "pfs"
-	case LayerDisk:
-		return "disk"
-	default:
-		return fmt.Sprintf("layer(%d)", int(l))
-	}
-}
-
 // Session is an attached multi-layer tracer.
 type Session struct {
 	cluster *cluster.Cluster
@@ -87,9 +68,8 @@ type Session struct {
 // ptrace).
 func Attach(c *cluster.Cluster) *Session {
 	s := &Session{cluster: c}
-	// firstRank maps each node to the first rank it hosts (the common
-	// one-rank-per-node case; with multiple ranks per node FS events
-	// attribute to the first).
+	// firstRank maps each node to the first rank it hosts, the rank its FS
+	// records are labelled with. Attribution follows spans, not this label.
 	firstRank := make(map[string]int, c.World.Size())
 	for i := 0; i < c.World.Size(); i++ {
 		r := c.World.Rank(i)
@@ -302,172 +282,50 @@ type Breakdown struct {
 	Orphan int // syscall/FS events not attributable to any MPI call
 }
 
-// within reports interval containment with a small tolerance for the probe
-// costs charged between layers.
-func within(inner, outer *trace.Record, slack sim.Duration) bool {
-	return inner.Time >= outer.Time-slack &&
-		inner.Time+inner.Dur <= outer.Time+outer.Dur+slack
-}
-
-// searchFrom returns the first index in time-sorted recs whose start time
-// is >= t: the left edge of an interval's candidate window.
-func searchFrom(recs []trace.Record, t sim.Time) int {
-	return sort.Search(len(recs), func(i int) bool { return recs[i].Time >= t })
-}
-
-// sortedByTime returns recs ordered by start time. Per-rank records are
-// emitted by a single sequential process and thus already time-ordered, so
-// this is normally a copy; the stable sort keeps emission order on ties,
-// preserving the matching semantics of an in-order scan.
-func sortedByTime(recs []trace.Record) []trace.Record {
-	out := make([]trace.Record, len(recs))
-	copy(out, recs)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
-	return out
-}
-
-// Analyze correlates the three client layers' events per rank by exact
-// causal join: every record carries the span of the operation that issued it
-// (Parent), so a syscall belongs to the MPI call whose span it names and an
-// FS op to the syscall whose span it names — no time windows, no slack, no
-// ambiguity between back-to-back calls. AnalyzeWindowed retains the interval
-// sweep as a cross-check oracle.
+// Analyze attributes every MPI I/O call's latency as a projection of the
+// causal-span index over the three client layers: a call's syscalls are the
+// records its span caused, and its FS ops are the records those syscalls'
+// spans caused. Library is the call's exclusive time, Kernel the syscalls'
+// summed exclusive time, and Storage the FS ops' summed duration. The join
+// is global, so it holds however many ranks share a node's FS probe.
 func (s *Session) Analyze() Breakdown {
-	var out Breakdown
-	fsByRank := make(map[int][]trace.Record)
+	var recs []trace.Record
+	for _, c := range s.lib {
+		recs = append(recs, c.Records...)
+	}
+	nLib := len(recs)
+	for _, c := range s.sys {
+		recs = append(recs, c.Records...)
+	}
 	for _, fl := range s.fs {
-		fsByRank[fl.rank] = append(fsByRank[fl.rank], fl.col.Records...)
+		recs = append(recs, fl.col.Records...)
 	}
-	for rank := range s.lib {
-		libRecs := s.lib[rank].Records
-		sysRecs := s.sys[rank].Records
-		fsRecs := fsByRank[rank]
-		sysByParent := make(map[uint64][]int, len(sysRecs))
-		for j := range sysRecs {
-			sysByParent[sysRecs[j].Parent] = append(sysByParent[sysRecs[j].Parent], j)
+	ix := analysis.IndexSpans(recs)
+	out := Breakdown{Orphan: len(recs) - nLib}
+	for i := range recs[:nLib] {
+		r := &recs[i]
+		if !strings.HasPrefix(r.Name, "MPI_File_") {
+			continue
 		}
-		fsByParent := make(map[uint64][]int, len(fsRecs))
-		for k := range fsRecs {
-			fsByParent[fsRecs[k].Parent] = append(fsByParent[fsRecs[k].Parent], k)
+		cb := CallBreakdown{
+			Rank:    r.Rank,
+			Name:    r.Name,
+			Path:    r.Path,
+			Bytes:   r.Bytes,
+			Total:   r.Dur,
+			Library: ix.Exclusive(i),
 		}
-		var attributedSys, attributedFS int
-		for i := range libRecs {
-			mpiRec := &libRecs[i]
-			if !strings.HasPrefix(mpiRec.Name, "MPI_File_") {
-				continue
+		for _, j := range ix.Children(i) {
+			cb.NestedSyscalls++
+			cb.Kernel += ix.Exclusive(j)
+			for _, k := range ix.Children(j) {
+				cb.NestedFSOps++
+				cb.Storage += recs[k].Dur
 			}
-			cb := CallBreakdown{
-				Rank:  mpiRec.Rank,
-				Name:  mpiRec.Name,
-				Path:  mpiRec.Path,
-				Bytes: mpiRec.Bytes,
-				Total: mpiRec.Dur,
-			}
-			var sysTime, fsTime sim.Duration
-			for _, j := range sysByParent[mpiRec.Span] {
-				cb.NestedSyscalls++
-				attributedSys++
-				sysTime += sysRecs[j].Dur
-				for _, k := range fsByParent[sysRecs[j].Span] {
-					cb.NestedFSOps++
-					attributedFS++
-					fsTime += fsRecs[k].Dur
-				}
-			}
-			cb.Library = cb.Total - sysTime
-			cb.Kernel = sysTime - fsTime
-			cb.Storage = fsTime
-			if cb.Library < 0 {
-				cb.Library = 0
-			}
-			if cb.Kernel < 0 {
-				cb.Kernel = 0
-			}
-			out.Calls = append(out.Calls, cb)
 		}
-		out.Orphan += len(sysRecs) - attributedSys
-		out.Orphan += len(fsRecs) - attributedFS
+		out.Orphan -= cb.NestedSyscalls + cb.NestedFSOps
+		out.Calls = append(out.Calls, cb)
 	}
-	sort.SliceStable(out.Calls, func(i, j int) bool { return out.Calls[i].Rank < out.Calls[j].Rank })
-	return out
-}
-
-// AnalyzeWindowed correlates the layers by interval containment, the
-// pre-span approach. Because each layer's records are time-sorted, the
-// candidates nested inside an interval form a contiguous window: a binary
-// search finds its left edge and a bounded forward sweep consumes it,
-// replacing the all-pairs O(lib x sys x fs) scan with
-// O((lib + sys + fs) log n + matches). Kept as the oracle the exact span
-// join is tested against.
-func (s *Session) AnalyzeWindowed() Breakdown {
-	const slack = 50 * sim.Microsecond
-	var out Breakdown
-	// Index FS records by rank.
-	fsByRank := make(map[int][]trace.Record)
-	for _, fl := range s.fs {
-		fsByRank[fl.rank] = append(fsByRank[fl.rank], fl.col.Records...)
-	}
-	for rank := range s.lib {
-		libRecs := sortedByTime(s.lib[rank].Records)
-		sysRecs := sortedByTime(s.sys[rank].Records)
-		fsRecs := sortedByTime(fsByRank[rank])
-		usedSys := make([]bool, len(sysRecs))
-		usedFS := make([]bool, len(fsRecs))
-
-		for i := range libRecs {
-			mpiRec := &libRecs[i]
-			if !strings.HasPrefix(mpiRec.Name, "MPI_File_") {
-				continue
-			}
-			cb := CallBreakdown{
-				Rank:  mpiRec.Rank,
-				Name:  mpiRec.Name,
-				Path:  mpiRec.Path,
-				Bytes: mpiRec.Bytes,
-				Total: mpiRec.Dur,
-			}
-			var sysTime, fsTime sim.Duration
-			mpiEnd := mpiRec.Time + mpiRec.Dur
-			for j := searchFrom(sysRecs, mpiRec.Time-slack); j < len(sysRecs) && sysRecs[j].Time <= mpiEnd+slack; j++ {
-				if usedSys[j] || !within(&sysRecs[j], mpiRec, slack) {
-					continue
-				}
-				usedSys[j] = true
-				cb.NestedSyscalls++
-				sysTime += sysRecs[j].Dur
-				sysEnd := sysRecs[j].Time + sysRecs[j].Dur
-				for k := searchFrom(fsRecs, sysRecs[j].Time-slack); k < len(fsRecs) && fsRecs[k].Time <= sysEnd+slack; k++ {
-					if usedFS[k] || !within(&fsRecs[k], &sysRecs[j], slack) {
-						continue
-					}
-					usedFS[k] = true
-					cb.NestedFSOps++
-					fsTime += fsRecs[k].Dur
-				}
-			}
-			cb.Library = cb.Total - sysTime
-			cb.Kernel = sysTime - fsTime
-			cb.Storage = fsTime
-			if cb.Library < 0 {
-				cb.Library = 0
-			}
-			if cb.Kernel < 0 {
-				cb.Kernel = 0
-			}
-			out.Calls = append(out.Calls, cb)
-		}
-		for j := range sysRecs {
-			if !usedSys[j] {
-				out.Orphan++
-			}
-		}
-		for k := range fsRecs {
-			if !usedFS[k] {
-				out.Orphan++
-			}
-		}
-	}
-	sort.SliceStable(out.Calls, func(i, j int) bool { return out.Calls[i].Rank < out.Calls[j].Rank })
 	return out
 }
 

@@ -17,20 +17,29 @@ func testCluster() *cluster.Cluster {
 	return cluster.New(cfg)
 }
 
+// traceRun runs params on a fresh cluster built from cfg with every layer
+// traced.
+func traceRun(cfg cluster.Config, params workload.Params) *Session {
+	c := cluster.New(cfg)
+	s := Attach(c)
+	c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
+		workload.Program(p, r, params, nil)
+	})
+	return s
+}
+
 func runTraced(t *testing.T) (*Session, *cluster.Cluster) {
 	t.Helper()
-	c := testCluster()
-	s := Attach(c)
-	params := workload.Params{
+	cfg := cluster.Small()
+	cfg.MaxSkew = 0
+	cfg.MaxDrift = 0
+	s := traceRun(cfg, workload.Params{
 		Pattern:   workload.N1Strided,
 		BlockSize: 128 << 10,
 		NObj:      4,
 		Path:      "/pfs/ml.out",
-	}
-	c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
-		workload.Program(p, r, params, nil)
 	})
-	return s, c
+	return s, s.cluster
 }
 
 func TestEveryWriteCorrelatesAcrossLayers(t *testing.T) {
@@ -117,9 +126,37 @@ func TestEmptyBreakdownFormat(t *testing.T) {
 	}
 }
 
-func TestLayerStrings(t *testing.T) {
-	if LayerLibrary.String() != "library" || LayerSyscall.String() != "kernel" || LayerFS.String() != "storage" {
-		t.Fatal("layer strings")
+// TestSharedNodeAttribution places two ranks on every node, so one FS probe
+// serves both. Each rank's FS ops must still join its own writes, and the
+// orphan count per rank must match the one-rank-per-node run.
+func TestSharedNodeAttribution(t *testing.T) {
+	params := analyzeTrials[0]
+	orphansPerRank := func(rpn int) (Breakdown, float64) {
+		cfg := cluster.Small()
+		cfg.MaxSkew = 0
+		cfg.MaxDrift = 0
+		cfg.RanksPerNode = rpn
+		s := traceRun(cfg, params)
+		b := s.Analyze()
+		return b, float64(b.Orphan) / float64(s.cluster.Ranks())
+	}
+	_, want := orphansPerRank(1)
+	b, got := orphansPerRank(2)
+	if got != want {
+		t.Fatalf("orphans per rank at 2 ranks/node = %v, want %v (as at 1 rank/node)", got, want)
+	}
+	writes := 0
+	for _, cb := range b.Calls {
+		if cb.Name != "MPI_File_write_at" {
+			continue
+		}
+		writes++
+		if cb.NestedFSOps == 0 {
+			t.Fatalf("rank %d write joined no FS op: %+v", cb.Rank, cb)
+		}
+	}
+	if writes == 0 {
+		t.Fatal("no writes traced")
 	}
 }
 

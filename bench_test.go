@@ -322,7 +322,7 @@ func BenchmarkSim16384Ranks(b *testing.B) { benchSimRanks(b, 16384) }
 // BenchmarkSim65536Ranks is the ladder's top: the rank regime modern
 // tracers target, two orders of magnitude past the paper's testbed.
 // Skipped in -short (CI's benchmark smoke) — roughly 40 s per iteration;
-// run it manually or via `tracebench -bench-ladder`.
+// run it manually with `go test -run NONE -bench Sim65536Ranks .`.
 func BenchmarkSim65536Ranks(b *testing.B) {
 	if testing.Short() {
 		b.Skip("65536-rank rung skipped in -short mode")

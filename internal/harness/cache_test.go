@@ -339,30 +339,6 @@ func TestSchedulerShortestFirst(t *testing.T) {
 	}
 }
 
-// TestBenchSweep exercises the perf-trajectory path end to end: the
-// snapshot must report a self-consistent cold/warm pair.
-func TestBenchSweep(t *testing.T) {
-	snap, err := BenchSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !snap.Identical {
-		t.Error("bench snapshot: cold and warm runs were not identical")
-	}
-	if snap.Warm.Executed != 0 {
-		t.Errorf("bench snapshot: warm run executed %d simulations, want 0", snap.Warm.Executed)
-	}
-	o := MatrixSmokeOptions()
-	wantExecuted, wantShared := matrixLeafCounts(o)
-	if snap.Cold.Executed != wantExecuted || snap.Cold.Shared != wantShared {
-		t.Errorf("bench snapshot cold counts executed=%d shared=%d, want %d/%d",
-			snap.Cold.Executed, snap.Cold.Shared, wantExecuted, wantShared)
-	}
-	if !strings.Contains(snap.JSON(), `"experiment": "matrix-smoke"`) {
-		t.Errorf("bench JSON missing experiment tag:\n%s", snap.JSON())
-	}
-}
-
 // TestSweepStatsFooter pins the stderr accounting line's shape.
 func TestSweepStatsFooter(t *testing.T) {
 	s := SweepStats{

@@ -26,6 +26,7 @@ type ColumnarSource struct {
 	flags   byte
 	started bool
 	off     int64
+	raw     bytes.Buffer
 	cur     []Record
 	curIdx  int
 	blocks  int64
@@ -79,10 +80,16 @@ func (c *ColumnarSource) nextBlock() error {
 	if err != nil {
 		return err
 	}
-	stored := make([]byte, h.payloadLen)
-	if err := c.readFull(stored); err != nil {
+	// The payload buffer grows with the bytes actually read, so a header
+	// claiming a huge block cannot force a huge allocation up front. Reusing
+	// it across blocks is safe: decoded records copy every value out of it.
+	c.raw.Reset()
+	n, err := c.raw.ReadFrom(io.LimitReader(c.r, int64(h.payloadLen)))
+	c.off += n
+	if err != nil || n < int64(h.payloadLen) {
 		return fmt.Errorf("%w: truncated block", ErrCorrupt)
 	}
+	stored := c.raw.Bytes()
 	if blockCRC(hb[:], stored) != h.crc {
 		return fmt.Errorf("%w: block CRC mismatch", ErrCorrupt)
 	}

@@ -51,6 +51,12 @@ type BlockView struct {
 // first — the writer's layout — which makes duplicates impossible to sneak
 // past validation.
 func parseBlockView(payload []byte, h blockHeader) (*BlockView, error) {
+	// Every row stores at least its class/direction byte, so a count beyond
+	// the payload length is corrupt; rejecting it here keeps the count-sized
+	// column slices proportional to the bytes actually read.
+	if h.count > len(payload) {
+		return nil, fmt.Errorf("%w: block count %d exceeds payload length %d", ErrCorrupt, h.count, len(payload))
+	}
 	v := &BlockView{count: h.count, classMask: h.classMask, dirMask: h.dirMask}
 	rest := payload
 	prev := byte(0)

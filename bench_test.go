@@ -395,15 +395,20 @@ func BenchmarkAblationRAIDSmallWrite(b *testing.B) {
 		cfg.DisableSmallWritePenalty = disable
 		a := disk.NewArray(env, cfg)
 		var elapsed sim.Duration
-		env.Go("w", func(p *sim.Proc) {
-			start := p.Now()
-			for i := int64(0); i < 64; i++ {
-				if err := a.Write(p, i*4096, 4096); err != nil {
+		var write func(i int64)
+		write = func(i int64) {
+			if i == 64 {
+				elapsed = env.Now()
+				return
+			}
+			a.WriteThenSpan(i*4096, 4096, 0, func(err error) {
+				if err != nil {
 					b.Error(err)
 				}
-			}
-			elapsed = p.Now() - start
-		})
+				write(i + 1)
+			})
+		}
+		env.At(0, func() { write(0) })
 		env.Run()
 		return elapsed
 	}

@@ -75,18 +75,46 @@ func (d *Disk) Failed() bool { return d.failed }
 // Repair returns a failed drive to service.
 func (d *Disk) Repair() { d.failed = false }
 
-// access performs one contiguous transfer at the given byte position.
+// access performs one contiguous transfer at the given byte position,
+// blocking p while the head is busy.
 func (d *Disk) access(p *sim.Proc, pos, length int64, write bool) error {
 	if d.failed {
 		return ErrFailed
 	}
+	d.head.HoldFor(p, d.holdTime(pos, length))
+	d.complete(pos, length, write)
+	return nil
+}
+
+// accessThen performs the transfer of access as an event chain, calling
+// done(err) when the head releases. Both compute the head time when the
+// call is made, before the head is acquired, so chained and process-driven
+// accesses contending for one head see the same seek decisions.
+func (d *Disk) accessThen(pos, length int64, write bool, done func(error)) {
+	if d.failed {
+		done(ErrFailed)
+		return
+	}
+	d.head.HoldForThen(d.holdTime(pos, length), func() {
+		d.complete(pos, length, write)
+		done(nil)
+	})
+}
+
+// holdTime returns the head time of one transfer at pos: the per-request
+// overhead, a seek unless pos continues the last completed transfer, and
+// the media time.
+func (d *Disk) holdTime(pos, length int64) sim.Duration {
 	cost := d.cfg.PerOp
 	if pos != d.nextSeq {
 		cost += d.cfg.Seek
 		d.Seeks++
 	}
-	cost += sim.DurationOf(length, d.cfg.BandwidthBps)
-	d.head.HoldFor(p, cost)
+	return cost + sim.DurationOf(length, d.cfg.BandwidthBps)
+}
+
+// complete records a finished transfer: the head now rests at its end.
+func (d *Disk) complete(pos, length int64, write bool) {
 	d.nextSeq = pos + length
 	d.Ops++
 	if write {
@@ -94,36 +122,6 @@ func (d *Disk) access(p *sim.Proc, pos, length int64, write bool) error {
 	} else {
 		d.BytesRead += length
 	}
-	return nil
-}
-
-// accessThen is the event-chain twin of access: the same transfer performed
-// without a process, calling done(err) when the head releases. The cost
-// (including the seek decision against nextSeq) is computed at call time —
-// before the head is acquired — exactly as access computes it before
-// HoldFor, so chained and process-driven accesses contending for one head
-// produce identical schedules.
-func (d *Disk) accessThen(pos, length int64, write bool, done func(error)) {
-	if d.failed {
-		done(ErrFailed)
-		return
-	}
-	cost := d.cfg.PerOp
-	if pos != d.nextSeq {
-		cost += d.cfg.Seek
-		d.Seeks++
-	}
-	cost += sim.DurationOf(length, d.cfg.BandwidthBps)
-	d.head.HoldForThen(cost, func() {
-		d.nextSeq = pos + length
-		d.Ops++
-		if write {
-			d.BytesWritten += length
-		} else {
-			d.BytesRead += length
-		}
-		done(nil)
-	})
 }
 
 // Read transfers length bytes starting at pos from the drive.
@@ -134,12 +132,6 @@ func (d *Disk) Read(p *sim.Proc, pos, length int64) error {
 // Write transfers length bytes starting at pos to the drive.
 func (d *Disk) Write(p *sim.Proc, pos, length int64) error {
 	return d.access(p, pos, length, true)
-}
-
-// ReadThen transfers length bytes starting at pos from the drive as a pure
-// event chain, calling done(err) on completion.
-func (d *Disk) ReadThen(pos, length int64, done func(error)) {
-	d.accessThen(pos, length, false, done)
 }
 
 // WriteThen transfers length bytes starting at pos to the drive as a pure
@@ -291,46 +283,6 @@ func (a *Array) parityDisk(row int64) int {
 	return int((n - 1 - row%n + n) % n)
 }
 
-// Read transfers a logical byte range from the array. Member-drive
-// transfers proceed in parallel; the call completes when the slowest drive
-// finishes. Reads on a group with one failed drive are reconstructed from
-// the surviving drives (degraded mode); two failures return ErrFailed.
-func (a *Array) Read(p *sim.Proc, off, length int64) error {
-	fin := a.traceDone("DISK_read", off, length, p.Span(), func(error) {})
-	if err := a.checkHealth(); err != nil && errors.Is(err, ErrFailed) {
-		fin(err)
-		return err
-	}
-	ops := a.Layout(off, length)
-	degraded := a.failedCount() == 1
-	if degraded {
-		ops = a.degradeReads(ops)
-	}
-	err := a.execute(p, ops)
-	fin(err)
-	return err
-}
-
-// Write transfers a logical byte range to the array, adding parity I/O:
-// full stripe rows write parity once; partial rows pay read-modify-write
-// (read old data + old parity, write new data + new parity) unless the
-// ablation flag disables it.
-func (a *Array) Write(p *sim.Proc, off, length int64) error {
-	fin := a.traceDone("DISK_write", off, length, p.Span(), func(error) {})
-	if err := a.checkHealth(); err != nil {
-		fin(err)
-		return err
-	}
-	ops := a.Layout(off, length)
-	for i := range ops {
-		ops[i].write = true
-	}
-	ops = append(ops, a.parityOps(off, length)...)
-	err := a.execute(p, ops)
-	fin(err)
-	return err
-}
-
 // parityOps plans the parity (and RMW) traffic for a write.
 func (a *Array) parityOps(off, length int64) []unitOp {
 	var ops []unitOp
@@ -390,15 +342,12 @@ func (a *Array) degradeReads(ops []unitOp) []unitOp {
 	return out
 }
 
-// ReadThen is the event-chain twin of Read: the same degraded-mode planning
-// and parallel member transfers, driven entirely by scheduled events, with
-// done(err) called when the slowest drive finishes.
-func (a *Array) ReadThen(off, length int64, done func(error)) {
-	a.ReadThenSpan(off, length, 0, done)
-}
-
-// ReadThenSpan is ReadThen with the caller's causal span; the emitted
-// DISK_read record (if a tracer is attached) is parented under it.
+// ReadThenSpan transfers a logical byte range from the array as an event
+// chain, calling done(err) when the slowest member drive finishes. Member
+// transfers proceed in parallel. A group with one failed drive reconstructs
+// the read from the surviving drives (degraded mode); two failures return
+// ErrFailed. The emitted DISK_read record (if a tracer is attached) is
+// parented under the caller's span.
 func (a *Array) ReadThenSpan(off, length int64, parent uint64, done func(error)) {
 	done = a.traceDone("DISK_read", off, length, parent, done)
 	if err := a.checkHealth(); err != nil && errors.Is(err, ErrFailed) {
@@ -413,13 +362,11 @@ func (a *Array) ReadThenSpan(off, length int64, parent uint64, done func(error))
 	a.executeThen(ops, done)
 }
 
-// WriteThen is the event-chain twin of Write, including parity and
-// read-modify-write traffic.
-func (a *Array) WriteThen(off, length int64, done func(error)) {
-	a.WriteThenSpan(off, length, 0, done)
-}
-
-// WriteThenSpan is WriteThen with the caller's causal span.
+// WriteThenSpan transfers a logical byte range to the array as an event
+// chain, adding parity I/O: full stripe rows write parity once; partial rows
+// pay read-modify-write (read old data + old parity, write new data + new
+// parity) unless the ablation flag disables it. The emitted DISK_write
+// record is parented under the caller's span.
 func (a *Array) WriteThenSpan(off, length int64, parent uint64, done func(error)) {
 	done = a.traceDone("DISK_write", off, length, parent, done)
 	if err := a.checkHealth(); err != nil {
@@ -434,46 +381,11 @@ func (a *Array) WriteThenSpan(off, length int64, parent uint64, done func(error)
 	a.executeThen(ops, done)
 }
 
-// execute groups planned ops per drive and runs the drives in parallel.
-func (a *Array) execute(p *sim.Proc, ops []unitOp) error {
-	perDisk := make(map[int][]unitOp)
-	for _, op := range ops {
-		perDisk[op.disk] = append(perDisk[op.disk], op)
-	}
-	var firstErr error
-	var fns []func(*sim.Proc)
-	for idx := 0; idx < a.cfg.Disks; idx++ {
-		batch := perDisk[idx]
-		if len(batch) == 0 {
-			continue
-		}
-		d := a.disks[idx]
-		fns = append(fns, func(c *sim.Proc) {
-			for _, op := range batch {
-				var err error
-				if op.write {
-					err = d.Write(c, op.pos, op.length)
-				} else {
-					err = d.Read(c, op.pos, op.length)
-				}
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-		})
-	}
-	sim.ForkJoin(p, "raid.io", fns...)
-	return firstErr
-}
-
-// executeThen is the event-chain twin of execute: one event chain per busy
-// member drive instead of one forked process, joined by a counter. The event
-// accounting mirrors ForkJoin exactly — one scheduled kickoff event per
-// drive batch in drive-index order (where ForkJoin scheduled one spawn
-// dispatch per child), then one completion event from the last batch (where
-// the last Done scheduled the parent's wake) — so chained and process-driven
-// array calls produce identical schedules. Errors are recorded per operation
-// as they surface, matching the shared firstErr the forked children wrote.
+// executeThen groups planned ops per drive and runs the drives in parallel,
+// one event chain per busy drive, joined by a counter. Its events are: one
+// kickoff per busy drive, scheduled at the current instant in drive-index
+// order, then one completion event, scheduled by the last batch to finish,
+// that calls done with the first error any operation reported.
 func (a *Array) executeThen(ops []unitOp, done func(error)) {
 	perDisk := make(map[int][]unitOp)
 	for _, op := range ops {
@@ -513,7 +425,7 @@ func (a *Array) executeThen(ops []unitOp, done func(error)) {
 
 // runBatchThen runs one drive's planned ops serially as an event chain,
 // recording each error as it surfaces and calling done when the batch
-// completes — the chained mirror of one forked raid.io child.
+// completes.
 func (a *Array) runBatchThen(d *Disk, batch []unitOp, record func(error), done func()) {
 	var step func(i int)
 	step = func(i int) {

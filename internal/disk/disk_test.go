@@ -8,16 +8,20 @@ import (
 	"iotaxo/internal/sim"
 )
 
-func run(t *testing.T, fn func(p *sim.Proc)) sim.Time {
-	t.Helper()
-	env := sim.NewEnv(1)
-	var end sim.Time
-	env.Go("test", func(p *sim.Proc) {
-		fn(p)
-		end = p.Now()
-	})
-	env.Run()
-	return end
+// arrayRead and arrayWrite drive the array's event-chain calls from a test
+// process, parking it on a mailbox until the call completes.
+func arrayRead(p *sim.Proc, a *Array, off, length int64) error {
+	return await(p, func(done func(error)) { a.ReadThenSpan(off, length, p.Span(), done) })
+}
+
+func arrayWrite(p *sim.Proc, a *Array, off, length int64) error {
+	return await(p, func(done func(error)) { a.WriteThenSpan(off, length, p.Span(), done) })
+}
+
+func await(p *sim.Proc, call func(done func(error))) error {
+	mb := sim.NewMailbox[error](p.Env())
+	call(mb.Put)
+	return mb.Get(p)
 }
 
 func TestDiskSequentialVsRandom(t *testing.T) {
@@ -173,7 +177,7 @@ func TestSmallWriteSlowerPerByteThanFullStripe(t *testing.T) {
 	var fullT, smallT sim.Time
 	env.Go("full", func(p *sim.Proc) {
 		start := p.Now()
-		if err := a.Write(p, 0, rowSize); err != nil {
+		if err := arrayWrite(p, a, 0, rowSize); err != nil {
 			t.Errorf("write: %v", err)
 		}
 		fullT = p.Now() - start
@@ -184,7 +188,7 @@ func TestSmallWriteSlowerPerByteThanFullStripe(t *testing.T) {
 	a2 := NewArray(env2, cfg)
 	env2.Go("small", func(p *sim.Proc) {
 		start := p.Now()
-		if err := a2.Write(p, 0, 4096); err != nil {
+		if err := arrayWrite(p, a2, 0, 4096); err != nil {
 			t.Errorf("write: %v", err)
 		}
 		smallT = p.Now() - start
@@ -210,7 +214,7 @@ func TestSmallWritePenaltyAblation(t *testing.T) {
 		var d sim.Time
 		env.Go("w", func(p *sim.Proc) {
 			start := p.Now()
-			if err := a.Write(p, 0, 4096); err != nil {
+			if err := arrayWrite(p, a, 0, 4096); err != nil {
 				t.Errorf("write: %v", err)
 			}
 			d = p.Now() - start
@@ -230,7 +234,7 @@ func TestDegradedReadReconstructs(t *testing.T) {
 	var err error
 	var healthyOps, degradedExtra bool
 	env.Go("r", func(p *sim.Proc) {
-		err = a.Read(p, 0, 1024) // unit 0 lives on drive 0 (failed)
+		err = arrayRead(p, a, 0, 1024) // unit 0 lives on drive 0 (failed)
 	})
 	env.Run()
 	if err != nil {
@@ -255,8 +259,8 @@ func TestDoubleFailureFails(t *testing.T) {
 	a.Disk(1).Fail()
 	var rerr, werr error
 	env.Go("t", func(p *sim.Proc) {
-		rerr = a.Read(p, 0, 100)
-		werr = a.Write(p, 0, 100)
+		rerr = arrayRead(p, a, 0, 100)
+		werr = arrayWrite(p, a, 0, 100)
 	})
 	env.Run()
 	if !errors.Is(rerr, ErrFailed) || !errors.Is(werr, ErrFailed) {
@@ -273,7 +277,7 @@ func TestArrayParallelism(t *testing.T) {
 	var rowT sim.Time
 	env.Go("row", func(p *sim.Proc) {
 		start := p.Now()
-		if err := a.Write(p, 0, a.RowSize()); err != nil {
+		if err := arrayWrite(p, a, 0, a.RowSize()); err != nil {
 			t.Errorf("write: %v", err)
 		}
 		rowT = p.Now() - start
@@ -307,7 +311,7 @@ func TestTotalOpsCounts(t *testing.T) {
 	env := sim.NewEnv(1)
 	a := NewArray(env, DefaultArray())
 	env.Go("w", func(p *sim.Proc) {
-		if err := a.Write(p, 0, a.RowSize()); err != nil {
+		if err := arrayWrite(p, a, 0, a.RowSize()); err != nil {
 			t.Errorf("write: %v", err)
 		}
 	})

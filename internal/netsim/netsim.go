@@ -256,11 +256,11 @@ func (n *Network) SendThen(msg Message, done func()) {
 
 // deliver runs the asynchronous half of a transfer — switch latency, receive
 // serialization, receiver stats, mailbox delivery — as a chain of scheduled
-// events. It replaces the per-message "net.courier" process the simulator
-// used to spawn: event sequencing mirrors that courier hop for hop (spawn
-// dispatch at the current instant, latency sleep, rx hold, release-then-
-// deliver), so simulated timestamps are identical while live goroutines stay
-// O(processes) instead of O(in-flight messages).
+// events: one at the current instant, one after the switch latency, then
+// the rx hold, whose release delivers. No process is spawned per message,
+// so live goroutines stay O(processes) instead of O(in-flight messages);
+// TestEventDeliveryMatchesCourierReference pins the timestamps against a
+// process-per-message reference.
 func (n *Network) deliver(dst *Iface, box *sim.Mailbox[Message], msg Message, wire int64) {
 	rxTime := sim.DurationOf(wire, n.cfg.BandwidthBps)
 	start := n.env.Now()
@@ -316,17 +316,12 @@ func (n *Network) Call(p *sim.Proc, from, to string, port int, reqSize int64, re
 	return resp.Payload
 }
 
-// CallThen performs the request/response exchange of Call as a pure event
-// chain: done receives the reply payload at the instant a process blocked in
-// Call would resume. The private reply mailbox is consumed with GetThen, so
-// no process parks anywhere on the path.
-func (n *Network) CallThen(from, to string, port int, reqSize int64, req any, done func(resp any)) {
-	n.CallThenSpan(from, to, port, reqSize, req, 0, done)
-}
-
-// CallThenSpan is CallThen carrying an explicit causal span for the request
-// message. Event-chain callers have no process to stamp from, so they capture
-// the span before entering the chain and pass it here.
+// CallThenSpan performs the request/response exchange of Call as a pure
+// event chain: done receives the reply payload at the instant a process
+// blocked in Call would resume. The private reply mailbox is consumed with
+// GetThen, so no process parks anywhere on the path. Event-chain callers
+// have no process to stamp a causal span from, so they capture it before
+// entering the chain and pass it here for the request message.
 func (n *Network) CallThenSpan(from, to string, port int, reqSize int64, req any, span uint64, done func(resp any)) {
 	reply := sim.NewMailbox[Message](n.env)
 	n.SendThen(Message{From: from, To: to, Port: port, Size: reqSize,
@@ -335,40 +330,17 @@ func (n *Network) CallThenSpan(from, to string, port int, reqSize int64, req any
 	})
 }
 
-// ServeRequest unwraps a message received by a server loop. If the message
-// was produced by Call, it returns the inner request and a respond function
-// that sends respSize payload bytes back to the caller; otherwise respond is
-// nil and the raw payload is returned.
-func (n *Network) ServeRequest(server string, msg Message) (req any, respond func(p *sim.Proc, respSize int64, resp any)) {
-	call, ok := msg.Payload.(rpc)
-	if !ok {
-		return msg.Payload, nil
-	}
-	reply := call.Reply
-	from := msg.From
-	reqSpan := msg.Span
-	return call.Req, func(p *sim.Proc, respSize int64, resp any) {
-		// The response travels the reverse path: serialize on the server's
-		// tx, cross the switch, serialize on the client's rx, delivered by
-		// the same zero-goroutine event chain as Send. It rides under the
-		// request's span, so the reply hop joins the same causal subtree.
-		src := n.Iface(server)
-		dst := n.Iface(from)
-		wire := n.wireBytes(respSize)
-		p.Sleep(n.cfg.PerMessageCPU)
-		src.tx.HoldFor(p, sim.DurationOf(wire, n.cfg.BandwidthBps))
-		src.BytesSent += wire
-		src.MsgsSent++
-		n.deliver(dst, reply, Message{From: server, To: from, Size: respSize, Payload: resp, Span: reqSpan}, wire)
-	}
-}
-
-// ServeRequestThen is the event-chain twin of ServeRequest, for server loops
-// that run without a process. The returned respond function transmits the
-// response as a pure event chain and calls done at the instant a process
-// calling the blocking respond would have resumed (after paying per-message
-// CPU and tx serialization); the server's release of per-request state (a
-// worker-pool unit, the next dispatch) chains off done.
+// ServeRequestThen unwraps a message received by a server loop. If the
+// message was produced by Call or CallThenSpan, it returns the inner request
+// and a respond function that sends respSize payload bytes back to the
+// caller; otherwise respond is nil and the raw payload is returned.
+//
+// respond transmits the response as a pure event chain: per-message CPU,
+// then serialization on the server's tx, after which the reply is handed to
+// the switch for delivery to the caller and done runs. The server's release of
+// per-request state (a worker-pool unit, the next dispatch) chains off done.
+// The reply rides under the request's span, so the reply hop joins the same
+// causal subtree.
 func (n *Network) ServeRequestThen(server string, msg Message) (req any, respond func(respSize int64, resp any, done func())) {
 	call, ok := msg.Payload.(rpc)
 	if !ok {

@@ -128,11 +128,11 @@ func TestCallRoundTrip(t *testing.T) {
 	inbox := n.Listen("b", 2)
 	env.Go("server", func(p *sim.Proc) {
 		msg := inbox.Get(p)
-		req, respond := n.ServeRequest("b", msg)
+		req, respond := n.ServeRequestThen("b", msg)
 		if req != "ping" {
 			t.Errorf("server got %v", req)
 		}
-		respond(p, 100, "pong")
+		respond(100, "pong", func() {})
 	})
 	var reply any
 	env.Go("client", func(p *sim.Proc) {
@@ -147,7 +147,7 @@ func TestCallRoundTrip(t *testing.T) {
 func TestServeRequestRawPayload(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := testNet(env)
-	req, respond := n.ServeRequest("b", Message{Payload: 42})
+	req, respond := n.ServeRequestThen("b", Message{Payload: 42})
 	if req != 42 || respond != nil {
 		t.Fatalf("raw payload mishandled: req=%v respondNil=%v", req, respond == nil)
 	}

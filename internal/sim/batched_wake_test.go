@@ -6,10 +6,10 @@ import (
 
 // These tests pin down the batched wake path: Mailbox.Put, Signal.Fire, and
 // WaitGroup.Add-to-zero schedule one drain event that serves every waiter in
-// FIFO order, where the retired scheme scheduled one wake event per waiter.
-// The batching is only sound if arrival order survives — across bursts,
-// across mixed process/callback waiter populations, and across waiters that
-// re-register from inside their own wake.
+// FIFO order. The batching is only sound if arrival order survives — across
+// bursts, across mixed process/callback waiter populations (Resource and
+// Mailbox), across waiters registered at different instants, and across
+// waiters that re-register from inside their own wake.
 
 // TestBatchedWakeMailboxFIFO delivers a same-instant burst to several parked
 // receivers: messages must map to receivers in registration order, through
@@ -84,8 +84,8 @@ func TestBatchedWakeMailboxMixedWaiters(t *testing.T) {
 	}
 }
 
-// TestBatchedWakeSignalMixedWaiters fires one broadcast at a mixed
-// process/callback waiter population: release order must equal wait order.
+// TestBatchedWakeSignalMixedWaiters fires one broadcast at processes that
+// registered at different instants: release order must equal wait order.
 func TestBatchedWakeSignalMixedWaiters(t *testing.T) {
 	env := NewEnv(1)
 	sig := NewSignal(env)
@@ -94,8 +94,9 @@ func TestBatchedWakeSignalMixedWaiters(t *testing.T) {
 		sig.Wait(p)
 		got = append(got, "p0")
 	})
-	env.Go("arm", func(p *Proc) {
-		sig.WaitThen(func() { got = append(got, "cb1") })
+	env.Go("p1", func(p *Proc) {
+		sig.Wait(p)
+		got = append(got, "p1")
 	})
 	env.Go("p2", func(p *Proc) {
 		p.Sleep(1)
@@ -107,7 +108,7 @@ func TestBatchedWakeSignalMixedWaiters(t *testing.T) {
 		sig.Fire()
 	})
 	env.Run()
-	want := []string{"p0", "cb1", "p2"}
+	want := []string{"p0", "p1", "p2"}
 	if len(got) != len(want) {
 		t.Fatalf("wake order %v, want %v", got, want)
 	}
@@ -190,9 +191,9 @@ func TestBatchedWakeResourceMixedWaiters(t *testing.T) {
 	}
 }
 
-// TestBatchedWakeWaitGroupMixedWaiters parks processes and WaitThen
-// callbacks on one WaitGroup: the count reaching zero must release the whole
-// mixed population in wait order via one drain.
+// TestBatchedWakeWaitGroupMixedWaiters parks processes on one WaitGroup at
+// different instants: the count reaching zero must release the whole
+// population in wait order via one drain.
 func TestBatchedWakeWaitGroupMixedWaiters(t *testing.T) {
 	env := NewEnv(1)
 	wg := NewWaitGroup(env)
@@ -204,8 +205,9 @@ func TestBatchedWakeWaitGroupMixedWaiters(t *testing.T) {
 		got = append(got, "p0")
 		at = p.Now()
 	})
-	env.Go("arm", func(p *Proc) {
-		wg.WaitThen(func() { got = append(got, "cb1") })
+	env.Go("p1", func(p *Proc) {
+		wg.Wait(p)
+		got = append(got, "p1")
 	})
 	env.Go("p2", func(p *Proc) {
 		p.Sleep(1)
@@ -218,7 +220,7 @@ func TestBatchedWakeWaitGroupMixedWaiters(t *testing.T) {
 		wg.Done()
 	})
 	env.Run()
-	want := []string{"p0", "cb1", "p2"}
+	want := []string{"p0", "p1", "p2"}
 	if len(got) != len(want) {
 		t.Fatalf("release order %v, want %v", got, want)
 	}
@@ -229,12 +231,6 @@ func TestBatchedWakeWaitGroupMixedWaiters(t *testing.T) {
 	}
 	if at != 5 {
 		t.Fatalf("released at %v, want 5", at)
-	}
-	// Released to zero: a fresh WaitThen must run synchronously.
-	ran := false
-	wg.WaitThen(func() { ran = true })
-	if !ran {
-		t.Fatal("WaitThen on settled WaitGroup did not run synchronously")
 	}
 }
 

@@ -16,12 +16,6 @@ type Env struct {
 	seq   uint64
 	rng   *rand.Rand
 
-	// yield is the handshake channel on which the currently running process
-	// signals that it has blocked or finished, returning control to the
-	// scheduler. It is unbuffered; strict alternation means there is never
-	// more than one pending signal.
-	yield chan struct{}
-
 	procs   map[*Proc]struct{} // live (started, not finished) processes
 	spawns  map[string]int     // processes ever spawned, by Go name
 	running bool
@@ -39,15 +33,14 @@ type Env struct {
 func NewEnv(seed int64) *Env {
 	return &Env{
 		rng:    rand.New(rand.NewSource(seed)),
-		yield:  make(chan struct{}),
 		procs:  make(map[*Proc]struct{}),
 		spawns: make(map[string]int),
 	}
 }
 
 // LiveProcs reports the number of live (started, not finished) processes:
-// each owns one OS goroutine, so this is the simulation's contribution to
-// the runtime's goroutine population.
+// each is a coroutine with one goroutine of its own, so this is the
+// simulation's contribution to the runtime's goroutine population.
 func (e *Env) LiveProcs() int { return len(e.procs) }
 
 // Spawned reports how many processes have ever been spawned under the given
@@ -115,7 +108,10 @@ func (e *Env) Run() Time { return e.RunUntil(MaxTime) }
 
 // RunUntil processes all events with timestamps <= deadline and then stops,
 // killing any process still blocked. It returns the virtual time of the last
-// event processed (or deadline if it is not MaxTime and events remain).
+// event processed (or deadline if it is not MaxTime and events remain). A
+// panic inside a process propagates out of RunUntil as an error that names
+// the process, carries its stack, and wraps the panic value (an error as is,
+// any other value formatted).
 func (e *Env) RunUntil(deadline Time) Time {
 	if e.running {
 		panic("sim: RunUntil called reentrantly")
@@ -137,18 +133,19 @@ func (e *Env) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// Stop kills all still-blocked processes so their goroutines exit. It is
-// called automatically at the end of Run/RunUntil and is idempotent.
+// Stop kills all still-blocked processes: each unwinds, running its deferred
+// calls, and its goroutine exits. A process spawned but never dispatched
+// exits without running. Stop is called automatically at the end of
+// Run/RunUntil and is idempotent.
 func (e *Env) Stop() {
 	if e.stopped {
 		return
 	}
 	e.stopped = true
 	for p := range e.procs {
-		close(p.resume) // parked process observes the close and unwinds
-		<-e.yield       // wait for its wrapper to hand control back
+		p.stop()
 	}
-	e.procs = make(map[*Proc]struct{})
+	clear(e.procs)
 }
 
 // Pending reports the number of queued events; useful in tests.

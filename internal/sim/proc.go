@@ -1,27 +1,39 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
 
-// errKilled is the sentinel recovered by the process wrapper when the
-// environment shuts a blocked process down.
+// killedError is the sentinel park panics with when the environment stops a
+// blocked process; the coroutine body recovers it so the process unwinds
+// (running its deferred calls) and exits.
 type killedError struct{}
 
 func (killedError) Error() string { return "sim: process killed at shutdown" }
 
-// Proc is a simulated process: a goroutine that runs in strict alternation
-// with the scheduler. All blocking methods (Sleep, Resource.Acquire,
-// Mailbox.Get, ...) must be called from the process's own goroutine.
+// Proc is a simulated process: a runtime coroutine (one goroutine) that runs
+// in strict alternation with the scheduler. All blocking methods (Sleep,
+// Resource.Acquire, Mailbox.Get, ...) must be called from the process's own
+// coroutine.
 type Proc struct {
-	env    *Env
-	pid    int
-	name   string
-	resume chan struct{}
-	done   bool
+	env  *Env
+	pid  int
+	name string
+
+	// next dispatches the process until it parks or finishes (ok false once
+	// it has finished), yield parks it (false when the environment is
+	// stopping it), and stop kills it.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
 	// dispatchFn is the process's reusable dispatch event, allocated once at
-	// spawn. Every Sleep/unpark schedules it; caching it here keeps the
-	// simulator's hottest path (hundreds of wake events per rank) from
-	// allocating a fresh closure per event.
+	// spawn. It is the wake of every park: Sleep schedules it, and the
+	// waiter queues of Resource, Signal and WaitGroup hold it. Caching it
+	// here keeps the simulator's hottest path (hundreds of wake events per
+	// rank) from allocating a fresh closure per event.
 	dispatchFn func()
 
 	// span is the causal span the process is currently executing under
@@ -40,57 +52,46 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	}
 	e.nextPID++
 	e.spawns[name]++
-	p := &Proc{env: e, pid: e.nextPID, name: name, resume: make(chan struct{})}
+	p := &Proc{env: e, pid: e.nextPID, name: name}
 	p.dispatchFn = func() { e.dispatch(p) }
-	e.procs[p] = struct{}{}
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killedError); !ok {
-					// Re-panic on the scheduler side would deadlock the
-					// handshake, so decorate and crash here.
-					panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
-				}
+			r := recover()
+			if _, killed := r.(killedError); r == nil || killed {
+				return
 			}
-			p.done = true
-			e.yield <- struct{}{}
+			// Re-panic, to surface from Run, with an error naming the
+			// process, wrapping the value and carrying this stack.
+			err, ok := r.(error)
+			if !ok {
+				err = fmt.Errorf("%v", r)
+			}
+			panic(fmt.Errorf("sim: process %q panicked: %w\n\n%s", p.name, err, debug.Stack()))
 		}()
-		if _, ok := <-p.resume; !ok {
-			panic(killedError{})
-		}
 		fn(p)
-	}()
+	})
+	e.procs[p] = struct{}{}
 	// First activation is a normal scheduled event at the current time.
 	e.schedule(e.now, p.dispatchFn)
 	return p
 }
 
-// dispatch hands the CPU to p and waits for it to block or finish.
+// dispatch hands the CPU to p until it parks or finishes. A panic inside p
+// propagates from here to the goroutine running the scheduler.
 func (e *Env) dispatch(p *Proc) {
-	if p.done {
-		return
-	}
-	p.resume <- struct{}{}
-	<-e.yield
-	if p.done {
+	if _, ok := p.next(); !ok {
 		delete(e.procs, p)
 	}
 }
 
-// park blocks the calling process until some event calls unpark (via
-// dispatch). It must only be called by p's own goroutine.
+// park blocks the calling process until some event dispatches it again. It
+// must only be called by p's own coroutine.
 func (p *Proc) park() {
-	p.env.yield <- struct{}{}
-	if _, ok := <-p.resume; !ok {
+	if !p.yield(struct{}{}) {
 		panic(killedError{})
 	}
 }
-
-// unpark schedules p to resume at the current virtual time.
-func (p *Proc) unpark() { p.env.schedule(p.env.now, p.dispatchFn) }
-
-// unparkAt schedules p to resume at instant at.
-func (p *Proc) unparkAt(at Time) { p.env.schedule(at, p.dispatchFn) }
 
 // Env returns the owning environment.
 func (p *Proc) Env() *Env { return p.env }
@@ -122,12 +123,9 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.unparkAt(p.env.now + d)
+	p.env.schedule(p.env.now+d, p.dispatchFn)
 	p.park()
 }
-
-// Yield gives other ready processes a chance to run at the same instant.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // String implements fmt.Stringer.
 func (p *Proc) String() string { return fmt.Sprintf("proc(%d,%s)", p.pid, p.name) }

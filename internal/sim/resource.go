@@ -6,31 +6,15 @@ package sim
 // arrival order, which keeps the simulation deterministic.
 //
 // A unit can be claimed two ways: by a process (Acquire/HoldFor, which park
-// the caller's goroutine) or by a pure event callback (AcquireThen/
-// HoldForThen, which allocate no goroutine at all). Both waiter kinds share
-// one FIFO queue, so a mixed population is still served in arrival order.
+// the caller) or by a pure event callback (AcquireThen/HoldForThen, which
+// involve no process at all). Both kinds queue as one wake function — a
+// parked process's dispatch event or the callback itself — in one FIFO, so a
+// mixed population is served in arrival order.
 type Resource struct {
 	env     *Env
 	cap     int
 	inUse   int
-	waiters []waiter
-}
-
-// waiter is one queued claim on a saturated resource: either a parked
-// process or a pure event callback.
-type waiter struct {
-	p  *Proc
-	fn func()
-}
-
-// serve resumes one waiter: a parked process via its dispatch handshake, a
-// callback claim by direct invocation. Only valid inside a running event.
-func (w waiter) serve(env *Env) {
-	if w.p != nil {
-		env.dispatch(w.p)
-	} else {
-		w.fn()
-	}
+	waiters []func()
 }
 
 // NewResource returns a resource with the given capacity (>= 1).
@@ -57,7 +41,7 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	r.waiters = append(r.waiters, waiter{p: p})
+	r.waiters = append(r.waiters, p.dispatchFn)
 	p.park()
 }
 
@@ -72,7 +56,7 @@ func (r *Resource) AcquireThen(fn func()) {
 		fn()
 		return
 	}
-	r.waiters = append(r.waiters, waiter{fn: fn})
+	r.waiters = append(r.waiters, fn)
 }
 
 // Release returns one unit, waking the longest-waiting claim if any.
@@ -80,29 +64,18 @@ func (r *Resource) Release() {
 	if len(r.waiters) > 0 {
 		w := r.waiters[0]
 		copy(r.waiters, r.waiters[1:])
-		r.waiters[len(r.waiters)-1] = waiter{}
+		r.waiters[len(r.waiters)-1] = nil
 		r.waiters = r.waiters[:len(r.waiters)-1]
-		// The unit passes directly to the waiter; inUse unchanged. A parked
-		// process resumes via its dispatch event; a callback claim is
-		// scheduled the same way, so both kinds interleave identically.
-		if w.p != nil {
-			w.p.unpark()
-		} else {
-			r.env.schedule(r.env.now, w.fn)
-		}
+		// The unit passes directly to the waiter (inUse unchanged), whose
+		// wake is scheduled at the current instant: a parked process and a
+		// callback claim take the same path and interleave identically.
+		r.env.schedule(r.env.now, w)
 		return
 	}
 	if r.inUse == 0 {
 		panic("sim: Release without Acquire")
 	}
 	r.inUse--
-}
-
-// Use runs fn while holding one unit of the resource.
-func (r *Resource) Use(p *Proc, fn func()) {
-	r.Acquire(p)
-	defer r.Release()
-	fn()
 }
 
 // HoldFor occupies one unit of the resource for d virtual nanoseconds: the
@@ -114,12 +87,12 @@ func (r *Resource) HoldFor(p *Proc, d Duration) {
 }
 
 // HoldForThen occupies one unit for d virtual nanoseconds and then calls fn,
-// all as pure events: the zero-goroutine counterpart of HoldFor, used for
+// all as pure events: the no-process counterpart of HoldFor, used for
 // store-and-forward hops whose initiator has no process of its own (network
-// message delivery). The event sequencing exactly mirrors a process calling
-// HoldFor — acquire (queue if saturated), sleep d, release, continue — so
-// callback and process claims contending for one resource produce identical
-// schedules.
+// message delivery). Its events are those of a process calling HoldFor —
+// acquire (queue if saturated), one event d later that releases and
+// continues — so callback and process claims contending for one resource
+// produce identical schedules.
 func (r *Resource) HoldForThen(d Duration, fn func()) {
 	r.AcquireThen(func() {
 		r.env.After(d, func() {
@@ -141,12 +114,12 @@ func (r *Resource) QueueLen() int { return len(r.waiters) }
 //
 // Like Resource, a Mailbox serves two kinds of receiver through one FIFO
 // queue: processes (Get, which parks the caller) and event callbacks
-// (GetThen, which allocate no goroutine). Wake-ups are batched: however many
+// (GetThen, which involve no process). Wake-ups are batched: however many
 // messages arrive at one instant, the mailbox schedules at most one drain
-// event, which serves every (message, receiver) pair in FIFO order — the
-// sequencing is identical to the retired one-wake-event-per-Put scheme
-// because those wake events carried consecutive sequence numbers with
-// nothing schedulable between them.
+// event, which pairs messages with receivers in FIFO order and runs each
+// receiver in turn inside that event. Receivers therefore run in arrival
+// order, at the instant of the Put that made the drain pending, and nothing
+// else can run between two of them.
 type Mailbox[T any] struct {
 	env      *Env
 	items    []T
@@ -232,10 +205,9 @@ func (m *Mailbox[T]) Get(p *Proc) T {
 // oldest message — immediately (synchronously) when one is queued, matching
 // a process Get that finds the mailbox non-empty — otherwise when the drain
 // reaches this receiver. The registration is one-shot: a server loop re-arms
-// by calling GetThen again from inside fn, which exactly mirrors a dispatch
-// process looping back into Get (including consuming a burst of queued
-// messages within one drain, as the process loop consumed them within one
-// wake).
+// by calling GetThen again from inside fn, and so consumes a burst of queued
+// messages inline, at one instant, in FIFO order — as a process looping on
+// Get does.
 func (m *Mailbox[T]) GetThen(fn func(T)) {
 	if len(m.items) > 0 {
 		fn(m.pop())
@@ -244,24 +216,15 @@ func (m *Mailbox[T]) GetThen(fn func(T)) {
 	m.recvq = append(m.recvq, mboxWaiter[T]{fn: fn})
 }
 
-// TryGet removes and returns the oldest message without blocking; ok is
-// false when the mailbox is empty.
-func (m *Mailbox[T]) TryGet() (v T, ok bool) {
-	if len(m.items) == 0 {
-		return v, false
-	}
-	return m.pop(), true
-}
-
 // Len reports the number of queued messages.
 func (m *Mailbox[T]) Len() int { return len(m.items) }
 
-// Signal is a broadcast condition: processes Wait (or event chains WaitThen)
-// on it and a later Fire releases every current waiter at once. Fires with
-// no waiters are not remembered (it is a condition variable, not a latch).
+// Signal is a broadcast condition: processes Wait on it and a later Fire
+// releases every current waiter at once. Fires with no waiters are not
+// remembered (it is a condition variable, not a latch).
 type Signal struct {
 	env     *Env
-	waiters []waiter
+	waiters []func()
 }
 
 // NewSignal returns a signal bound to env.
@@ -269,22 +232,14 @@ func NewSignal(env *Env) *Signal { return &Signal{env: env} }
 
 // Wait blocks p until the next Fire.
 func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, waiter{p: p})
+	s.waiters = append(s.waiters, p.dispatchFn)
 	p.park()
 }
 
-// WaitThen registers fn to run at the next Fire: the event-callback half of
-// the signal API. Like process waiters, callbacks are released in wait
-// order.
-func (s *Signal) WaitThen(fn func()) {
-	s.waiters = append(s.waiters, waiter{fn: fn})
-}
-
-// Fire wakes every process and callback currently waiting, in wait order,
-// through a single scheduled drain event. The batched drain is sequencing-
-// identical to the retired one-wake-event-per-waiter scheme: those unpark
-// events carried consecutive sequence numbers assigned inside Fire's loop,
-// so nothing could ever be scheduled between them.
+// Fire wakes every process currently waiting through a single scheduled
+// drain event, which dispatches them in wait order with nothing else running
+// between them. A process that waits again while the drain runs joins the
+// next Fire.
 func (s *Signal) Fire() {
 	ws := s.waiters
 	s.waiters = nil
@@ -293,7 +248,7 @@ func (s *Signal) Fire() {
 	}
 	s.env.schedule(s.env.now, func() {
 		for _, w := range ws {
-			w.serve(s.env)
+			w()
 		}
 	})
 }
@@ -319,16 +274,6 @@ func (l *Latch) Wait(p *Proc) {
 		return
 	}
 	l.signal.Wait(p)
-}
-
-// WaitThen runs fn when the latch opens — synchronously if already open,
-// mirroring a process Wait that falls straight through.
-func (l *Latch) WaitThen(fn func()) {
-	if l.open {
-		fn()
-		return
-	}
-	l.signal.WaitThen(fn)
 }
 
 // Open releases all waiters; idempotent.

@@ -372,19 +372,6 @@ func TestMailboxFIFOAcrossReceivers(t *testing.T) {
 	}
 }
 
-func TestMailboxTryGet(t *testing.T) {
-	env := NewEnv(1)
-	mb := NewMailbox[string](env)
-	if _, ok := mb.TryGet(); ok {
-		t.Fatal("TryGet on empty mailbox returned ok")
-	}
-	mb.Put("x")
-	v, ok := mb.TryGet()
-	if !ok || v != "x" {
-		t.Fatalf("TryGet = %q,%v", v, ok)
-	}
-}
-
 func TestSignalBroadcast(t *testing.T) {
 	env := NewEnv(1)
 	sig := NewSignal(env)
@@ -417,23 +404,6 @@ func TestLatchOpenBeforeWait(t *testing.T) {
 	env.Run()
 	if !passed {
 		t.Fatal("waiter blocked on open latch")
-	}
-}
-
-func TestWaitGroupForkJoin(t *testing.T) {
-	env := NewEnv(1)
-	var end Time
-	env.Go("parent", func(p *Proc) {
-		ForkJoin(p, "child",
-			func(c *Proc) { c.Sleep(10) },
-			func(c *Proc) { c.Sleep(30) },
-			func(c *Proc) { c.Sleep(20) },
-		)
-		end = p.Now()
-	})
-	env.Run()
-	if end != 30 {
-		t.Fatalf("join at %v, want 30 (max child)", end)
 	}
 }
 

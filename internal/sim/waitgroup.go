@@ -3,16 +3,13 @@ package sim
 // WaitGroup counts outstanding simulated tasks; Wait blocks a process until
 // the count returns to zero. Deterministic analogue of sync.WaitGroup.
 //
-// Like Mailbox and Signal, a WaitGroup serves process waiters (Wait) and
-// event-callback waiters (WaitThen) from one FIFO queue, and the zero-count
-// wake is batched: one scheduled drain event releases every waiter in wait
-// order, sequencing-identical to the retired one-unpark-event-per-waiter
-// scheme (those events carried consecutive sequence numbers with nothing
-// schedulable between them).
+// The zero-count wake is batched like Signal.Fire: one scheduled drain event
+// dispatches every waiter in wait order, with nothing else running between
+// them.
 type WaitGroup struct {
 	env     *Env
 	count   int
-	waiters []waiter
+	waiters []func()
 }
 
 // NewWaitGroup returns a wait group bound to env.
@@ -29,7 +26,7 @@ func (wg *WaitGroup) Add(n int) {
 		wg.waiters = nil
 		wg.env.schedule(wg.env.now, func() {
 			for _, w := range ws {
-				w.serve(wg.env)
+				w()
 			}
 		})
 	}
@@ -41,37 +38,7 @@ func (wg *WaitGroup) Done() { wg.Add(-1) }
 // Wait blocks p until the count is zero.
 func (wg *WaitGroup) Wait(p *Proc) {
 	for wg.count > 0 {
-		wg.waiters = append(wg.waiters, waiter{p: p})
+		wg.waiters = append(wg.waiters, p.dispatchFn)
 		p.park()
 	}
-}
-
-// WaitThen runs fn once the count returns to zero — synchronously when it
-// already is (mirroring a process Wait that falls straight through),
-// otherwise from the batched zero-count drain. The registration is one-shot:
-// unlike Wait's re-check loop, fn runs even if an earlier waiter in the same
-// drain re-raises the count (which matches the unconditional unparks of the
-// retired scheme; join-style users never re-raise).
-func (wg *WaitGroup) WaitThen(fn func()) {
-	if wg.count == 0 {
-		fn()
-		return
-	}
-	wg.waiters = append(wg.waiters, waiter{fn: fn})
-}
-
-// ForkJoin spawns one child process per element of fns and blocks p until
-// all children finish: the standard pattern for a client issuing parallel
-// requests (e.g. striped writes to several servers).
-func ForkJoin(p *Proc, name string, fns ...func(child *Proc)) {
-	wg := NewWaitGroup(p.env)
-	wg.Add(len(fns))
-	for _, fn := range fns {
-		fn := fn
-		p.env.Go(name, func(child *Proc) {
-			defer wg.Done()
-			fn(child)
-		})
-	}
-	wg.Wait(p)
 }

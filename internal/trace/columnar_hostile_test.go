@@ -152,12 +152,12 @@ func resealCRCs(data []byte) []byte {
 	return out
 }
 
-// FuzzColumnarSource feeds arbitrary bytes, raw and with block CRCs
-// resealed, to the sequential v2 reader. Decoding must never panic, every
-// error must wrap ErrCorrupt, and a stream that decodes must survive
-// encode -> decode unchanged.
-func FuzzColumnarSource(f *testing.F) {
+// addColumnarSeeds seeds a v2 fuzz target with well-formed streams (plain
+// and compressed, with and without spans, flushed-only and Closed, ranks
+// beyond int32) and the hostile streams above.
+func addColumnarSeeds(f *testing.F) {
 	recs := randomRecords(40, 5)
+	recs[0].Rank, recs[1].Rank = 1<<40, -1<<40
 	for _, opts := range []ColumnarOptions{
 		{RecordsPerBlock: 16},
 		{RecordsPerBlock: 16, Compress: true},
@@ -184,7 +184,14 @@ func FuzzColumnarSource(f *testing.F) {
 	f.Add(hugeCountStream(f, false))
 	f.Add(hugeCountStream(f, true))
 	f.Add(hugeIndexStream())
+}
 
+// FuzzColumnarSource feeds arbitrary bytes, raw and with block CRCs
+// resealed, to the sequential v2 reader. Decoding must never panic, every
+// error must wrap ErrCorrupt, and a stream that decodes must survive
+// encode -> decode unchanged.
+func FuzzColumnarSource(f *testing.F) {
+	addColumnarSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, resealCRCs(data)} {
 			got, err := NewColumnarSource(bytes.NewReader(in)).ReadAll()
@@ -204,6 +211,55 @@ func FuzzColumnarSource(f *testing.F) {
 			}
 			if !reflect.DeepEqual(normalizeArgs(got), normalizeArgs(back)) {
 				t.Fatal("decode -> encode -> decode changed the records")
+			}
+		}
+	})
+}
+
+// FuzzColumnarReader feeds arbitrary bytes, raw and with block CRCs
+// resealed, to the indexed v2 reader and runs a match-all Scan and
+// ScanViews. Nothing may panic and every error must wrap ErrCorrupt. When
+// the input opens and Scan succeeds, it must return exactly the records the
+// sequential reader decodes, and ScanViews must visit as many rows.
+func FuzzColumnarReader(f *testing.F) {
+	addColumnarSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, resealCRCs(data)} {
+			corrupt := func(what string, err error) {
+				t.Helper()
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("%s: error does not wrap ErrCorrupt: %v", what, err)
+				}
+			}
+			cr, err := NewColumnarReader(bytes.NewReader(in), int64(len(in)))
+			if err != nil {
+				corrupt("open", err)
+				continue
+			}
+			scanned, scanErr := Collect(cr.Scan(MatchAll(), 2))
+			var rows int64
+			_, viewErr := cr.ScanViews(MatchAll(), 2, func(_ *BlockView, r []int) error {
+				rows += int64(len(r))
+				return nil
+			})
+			if scanErr != nil {
+				corrupt("Scan", scanErr)
+			}
+			if viewErr != nil {
+				corrupt("ScanViews", viewErr)
+			}
+			if scanErr != nil || viewErr != nil {
+				continue
+			}
+			if rows != int64(len(scanned)) {
+				t.Fatalf("ScanViews visited %d rows, Scan returned %d records", rows, len(scanned))
+			}
+			seq, err := NewColumnarSource(bytes.NewReader(in)).ReadAll()
+			if err != nil {
+				t.Fatalf("indexed scan succeeded, sequential read failed: %v", err)
+			}
+			if !reflect.DeepEqual(normalizeArgs(scanned), normalizeArgs(seq)) {
+				t.Fatalf("indexed scan returned %d records, sequential read %d, and they differ", len(scanned), len(seq))
 			}
 		}
 	})

@@ -202,7 +202,7 @@ type Query struct {
 func MatchAll() Query {
 	return Query{
 		TimeMin: sim.Time(math.MinInt64), TimeMax: sim.Time(math.MaxInt64),
-		RankMin: math.MinInt32, RankMax: math.MaxInt32,
+		RankMin: math.MinInt, RankMax: math.MaxInt,
 		OffsetMin: math.MinInt64, OffsetMax: math.MaxInt64,
 		BytesMin: math.MinInt64,
 		SpanMin:  0, SpanMax: math.MaxUint64,
@@ -322,7 +322,8 @@ func (q Query) containsBlock(m BlockMeta) bool {
 // ColumnarReader serves indexed queries over a Closed v2 trace through an
 // io.ReaderAt: it loads only the stream header and the footer index up
 // front, then Scan reads and decodes exactly the blocks a query's ranges
-// admit, fanned out over a worker pool on the pattern of parallel.go.
+// admit, fanned out over a pool of decode workers and delivered in file
+// order.
 type ColumnarReader struct {
 	r     io.ReaderAt
 	size  int64

@@ -393,7 +393,7 @@ func BenchmarkAblationRAIDSmallWrite(b *testing.B) {
 		env := sim.NewEnv(1)
 		cfg := disk.DefaultArray()
 		cfg.DisableSmallWritePenalty = disable
-		a := disk.NewArray(env, cfg)
+		a := disk.NewArray(env, cfg, "", nil)
 		var elapsed sim.Duration
 		var write func(i int64)
 		write = func(i int64) {

@@ -65,7 +65,7 @@ func (kprobeTrace) Attach(c *cluster.Cluster) framework.Session {
 	for i := 0; i < c.World.Size(); i++ {
 		col := &interpose.Collector{}
 		rec := interpose.NewRecorder(model, col)
-		c.World.Rank(i).AttachLibHook(rec)
+		c.World.Rank(i).Tracepoint().Attach(rec)
 		s.cols = append(s.cols, col)
 		s.recs = append(s.recs, rec)
 	}

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"iotaxo/internal/mpi"
 	"iotaxo/internal/pfs"
 	"iotaxo/internal/sim"
+	"iotaxo/internal/trace"
 	"iotaxo/internal/tracefs"
 	"iotaxo/internal/vfs"
 	"iotaxo/internal/workload"
@@ -254,5 +256,68 @@ func TestSharedNetworkMultipleFilesystems(t *testing.T) {
 	size, _, _, ok := scratch.Snapshot("/scratch/x")
 	if !ok || size != 128<<10 {
 		t.Fatalf("scratch end state: %d %v", size, ok)
+	}
+}
+
+// serverRecorder subscribes to the server-side tracepoint, counting any
+// call that carries a process (server-side layers have none).
+type serverRecorder struct {
+	recs     []trace.Record
+	withProc int
+}
+
+func (h *serverRecorder) Enter(*sim.Proc, string) { h.withProc++ }
+func (h *serverRecorder) Exit(p *sim.Proc, r *trace.Record) {
+	if p != nil {
+		h.withProc++
+	}
+	h.recs = append(h.recs, r.Clone())
+}
+
+// TestServerTracingScheduleNeutral runs one workload with and without a
+// subscriber on the server-side tracepoint: every rank must finish at the
+// same instant and the run must end at the same instant. The subscriber
+// sees every server-side layer, only through Exit with no process, and
+// each PFS request record parents to the network hop that delivered it.
+func TestServerTracingScheduleNeutral(t *testing.T) {
+	w := workload.MustByName("checkpoint-restart")
+	sc := workload.Scale{BlockSize: 256 << 10, PerRankBytes: 1 << 20}
+	run := func(h trace.Hook) *cluster.Cluster {
+		c := cluster.New(cluster.Small())
+		if h != nil {
+			c.Net.Tracepoint().Attach(h)
+		}
+		w.Run(c.World, sc)
+		return c
+	}
+	plain := run(nil)
+	rec := &serverRecorder{}
+	traced := run(rec)
+	if !slices.Equal(plain.World.FinishedAt, traced.World.FinishedAt) {
+		t.Errorf("FinishedAt differs:\n untraced %v\n   traced %v", plain.World.FinishedAt, traced.World.FinishedAt)
+	}
+	if plain.Env.Now() != traced.Env.Now() {
+		t.Errorf("final time: untraced %v, traced %v", plain.Env.Now(), traced.Env.Now())
+	}
+	if rec.withProc != 0 {
+		t.Errorf("%d server-side calls carried a process or entered", rec.withProc)
+	}
+	deliveries := make(map[uint64]bool)
+	layers := make(map[string]int)
+	for _, r := range rec.recs {
+		layers[r.Name[:strings.IndexByte(r.Name, '_')]]++
+		if r.Name == "NET_deliver" {
+			deliveries[r.Span] = true
+		}
+	}
+	for _, l := range []string{"NET", "PFS", "DISK"} {
+		if layers[l] == 0 {
+			t.Errorf("no %s_* records (saw %v)", l, layers)
+		}
+	}
+	for _, r := range rec.recs {
+		if strings.HasPrefix(r.Name, "PFS_") && !deliveries[r.Parent] {
+			t.Errorf("%s parent %d is not a NET_deliver span", r.Name, r.Parent)
+		}
 	}
 }

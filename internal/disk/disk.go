@@ -163,40 +163,30 @@ type Array struct {
 	env   *sim.Env
 	disks []*Disk
 
-	// tracer, when set, receives one coarse ClassDiskIO record per array
-	// call (not per member-drive transfer), labelled with node.
-	tracer func(*trace.Record)
-	node   string
-}
-
-// SetTracer installs (or, with nil fn, removes) the array-call tracer.
-// node labels emitted records with the owning server's node name.
-func (a *Array) SetTracer(node string, fn func(*trace.Record)) {
-	a.node, a.tracer = node, fn
+	// tp (nil when standalone) gets one coarse ClassDiskIO record per array
+	// call, not per member-drive transfer, labelled with node.
+	tp   *trace.Point
+	node string
 }
 
 // traceDone wraps an array call's completion to emit one ClassDiskIO record
-// spanning the whole call. With no tracer attached it is the identity, so
-// untraced arrays allocate no span and pay nothing.
+// spanning the whole call. With the tracepoint unarmed it is the identity,
+// so untraced arrays allocate no span and pay nothing.
 func (a *Array) traceDone(name string, off, length int64, parent uint64, done func(error)) func(error) {
-	if a.tracer == nil {
+	if a.tp == nil || !a.tp.Armed() {
 		return done
 	}
 	span := a.env.NextSpanID()
 	start := a.env.Now()
 	return func(err error) {
-		ret := "0"
-		if err != nil {
-			ret = "-1 " + err.Error()
-		}
-		a.tracer(&trace.Record{
+		a.tp.Exit(nil, &trace.Record{
 			Time:   start,
 			Dur:    a.env.Now() - start,
 			Node:   a.node,
 			Rank:   -1,
 			Class:  trace.ClassDiskIO,
 			Name:   name,
-			Ret:    ret,
+			Ret:    trace.Ret(err),
 			Offset: off,
 			Bytes:  length,
 			Span:   span,
@@ -206,15 +196,17 @@ func (a *Array) traceDone(name string, off, length int64, parent uint64, done fu
 	}
 }
 
-// NewArray builds the group. Disks must be >= 3 for RAID-5.
-func NewArray(env *sim.Env, cfg ArrayConfig) *Array {
+// NewArray builds the group. Disks must be >= 3 for RAID-5. tp is the
+// server-side tracepoint of the deployment the array serves, where node
+// labels its records; a standalone array passes nil.
+func NewArray(env *sim.Env, cfg ArrayConfig, node string, tp *trace.Point) *Array {
 	if cfg.Disks < 3 {
 		panic(fmt.Sprintf("disk: RAID-5 needs >= 3 drives, got %d", cfg.Disks))
 	}
 	if cfg.StripeUnit <= 0 {
 		panic("disk: stripe unit must be positive")
 	}
-	a := &Array{cfg: cfg, env: env}
+	a := &Array{cfg: cfg, env: env, node: node, tp: tp}
 	for i := 0; i < cfg.Disks; i++ {
 		a.disks = append(a.disks, NewDisk(env, cfg.Disk))
 	}
@@ -346,7 +338,7 @@ func (a *Array) degradeReads(ops []unitOp) []unitOp {
 // chain, calling done(err) when the slowest member drive finishes. Member
 // transfers proceed in parallel. A group with one failed drive reconstructs
 // the read from the surviving drives (degraded mode); two failures return
-// ErrFailed. The emitted DISK_read record (if a tracer is attached) is
+// ErrFailed. The emitted DISK_read record (if the tracepoint is armed) is
 // parented under the caller's span.
 func (a *Array) ReadThenSpan(off, length int64, parent uint64, done func(error)) {
 	done = a.traceDone("DISK_read", off, length, parent, done)

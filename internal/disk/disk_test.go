@@ -86,7 +86,7 @@ func TestDiskFailure(t *testing.T) {
 
 func TestLayoutSingleUnit(t *testing.T) {
 	env := sim.NewEnv(1)
-	a := NewArray(env, ArrayConfig{Disks: 5, StripeUnit: 64 << 10, Disk: DefaultDisk()})
+	a := NewArray(env, ArrayConfig{Disks: 5, StripeUnit: 64 << 10, Disk: DefaultDisk()}, "", nil)
 	ops := a.Layout(0, 64<<10)
 	if len(ops) != 1 {
 		t.Fatalf("ops = %d, want 1", len(ops))
@@ -102,7 +102,7 @@ func TestLayoutSingleUnit(t *testing.T) {
 
 func TestLayoutAvoidsParityDisk(t *testing.T) {
 	env := sim.NewEnv(1)
-	a := NewArray(env, ArrayConfig{Disks: 5, StripeUnit: 1 << 10, Disk: DefaultDisk()})
+	a := NewArray(env, ArrayConfig{Disks: 5, StripeUnit: 1 << 10, Disk: DefaultDisk()}, "", nil)
 	// Walk several rows; data ops must never land on that row's parity disk.
 	ops := a.Layout(0, 40<<10)
 	for _, op := range ops {
@@ -117,7 +117,7 @@ func TestLayoutAvoidsParityDisk(t *testing.T) {
 // unit-sized or smaller chunks and no overlap.
 func TestLayoutCoverageProperty(t *testing.T) {
 	env := sim.NewEnv(1)
-	a := NewArray(env, ArrayConfig{Disks: 7, StripeUnit: 4096, Disk: DefaultDisk()})
+	a := NewArray(env, ArrayConfig{Disks: 7, StripeUnit: 4096, Disk: DefaultDisk()}, "", nil)
 	f := func(offRaw, lenRaw uint16) bool {
 		off := int64(offRaw)
 		length := int64(lenRaw)%20000 + 1
@@ -154,7 +154,7 @@ func TestLayoutCoverageProperty(t *testing.T) {
 // Property: parity rotates across all drives.
 func TestParityRotationProperty(t *testing.T) {
 	env := sim.NewEnv(1)
-	a := NewArray(env, ArrayConfig{Disks: 5, StripeUnit: 1024, Disk: DefaultDisk()})
+	a := NewArray(env, ArrayConfig{Disks: 5, StripeUnit: 1024, Disk: DefaultDisk()}, "", nil)
 	seen := make(map[int]bool)
 	for row := int64(0); row < 5; row++ {
 		p := a.parityDisk(row)
@@ -171,7 +171,7 @@ func TestParityRotationProperty(t *testing.T) {
 func TestSmallWriteSlowerPerByteThanFullStripe(t *testing.T) {
 	cfg := ArrayConfig{Disks: 5, StripeUnit: 64 << 10, Disk: DefaultDisk()}
 	env := sim.NewEnv(1)
-	a := NewArray(env, cfg)
+	a := NewArray(env, cfg, "", nil)
 	rowSize := a.RowSize()
 
 	var fullT, smallT sim.Time
@@ -185,7 +185,7 @@ func TestSmallWriteSlowerPerByteThanFullStripe(t *testing.T) {
 	env.Run()
 
 	env2 := sim.NewEnv(1)
-	a2 := NewArray(env2, cfg)
+	a2 := NewArray(env2, cfg, "", nil)
 	env2.Go("small", func(p *sim.Proc) {
 		start := p.Now()
 		if err := arrayWrite(p, a2, 0, 4096); err != nil {
@@ -210,7 +210,7 @@ func TestSmallWritePenaltyAblation(t *testing.T) {
 
 	timeFor := func(cfg ArrayConfig) sim.Time {
 		env := sim.NewEnv(1)
-		a := NewArray(env, cfg)
+		a := NewArray(env, cfg, "", nil)
 		var d sim.Time
 		env.Go("w", func(p *sim.Proc) {
 			start := p.Now()
@@ -229,7 +229,7 @@ func TestSmallWritePenaltyAblation(t *testing.T) {
 
 func TestDegradedReadReconstructs(t *testing.T) {
 	env := sim.NewEnv(1)
-	a := NewArray(env, ArrayConfig{Disks: 4, StripeUnit: 1024, Disk: DefaultDisk()})
+	a := NewArray(env, ArrayConfig{Disks: 4, StripeUnit: 1024, Disk: DefaultDisk()}, "", nil)
 	a.Disk(0).Fail()
 	var err error
 	var healthyOps, degradedExtra bool
@@ -254,7 +254,7 @@ func TestDegradedReadReconstructs(t *testing.T) {
 
 func TestDoubleFailureFails(t *testing.T) {
 	env := sim.NewEnv(1)
-	a := NewArray(env, ArrayConfig{Disks: 4, StripeUnit: 1024, Disk: DefaultDisk()})
+	a := NewArray(env, ArrayConfig{Disks: 4, StripeUnit: 1024, Disk: DefaultDisk()}, "", nil)
 	a.Disk(0).Fail()
 	a.Disk(1).Fail()
 	var rerr, werr error
@@ -273,7 +273,7 @@ func TestArrayParallelism(t *testing.T) {
 	// 4x a single-unit transfer (drives work in parallel).
 	cfg := ArrayConfig{Disks: 5, StripeUnit: 1 << 20, Disk: DefaultDisk()}
 	env := sim.NewEnv(1)
-	a := NewArray(env, cfg)
+	a := NewArray(env, cfg, "", nil)
 	var rowT sim.Time
 	env.Go("row", func(p *sim.Proc) {
 		start := p.Now()
@@ -292,8 +292,8 @@ func TestArrayParallelism(t *testing.T) {
 func TestBadConfigsPanic(t *testing.T) {
 	env := sim.NewEnv(1)
 	for _, fn := range []func(){
-		func() { NewArray(env, ArrayConfig{Disks: 2, StripeUnit: 1024, Disk: DefaultDisk()}) },
-		func() { NewArray(env, ArrayConfig{Disks: 5, StripeUnit: 0, Disk: DefaultDisk()}) },
+		func() { NewArray(env, ArrayConfig{Disks: 2, StripeUnit: 1024, Disk: DefaultDisk()}, "", nil) },
+		func() { NewArray(env, ArrayConfig{Disks: 5, StripeUnit: 0, Disk: DefaultDisk()}, "", nil) },
 		func() { NewDisk(env, Config{}) },
 	} {
 		func() {
@@ -309,7 +309,7 @@ func TestBadConfigsPanic(t *testing.T) {
 
 func TestTotalOpsCounts(t *testing.T) {
 	env := sim.NewEnv(1)
-	a := NewArray(env, DefaultArray())
+	a := NewArray(env, DefaultArray(), "", nil)
 	env.Go("w", func(p *sim.Proc) {
 		if err := arrayWrite(p, a, 0, a.RowSize()); err != nil {
 			t.Errorf("write: %v", err)

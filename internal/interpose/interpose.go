@@ -1,9 +1,9 @@
 // Package interpose provides the shared machinery every tracing framework
 // in the repository is built from: per-event cost models for the different
 // interposition mechanisms (ptrace, breakpoint-based library tracing,
-// LD_PRELOAD, in-kernel VFS hooks) and a Recorder that implements both the
-// syscall-hook and library-hook interfaces, charging virtual time per event
-// and forwarding records to a sink.
+// LD_PRELOAD, in-kernel VFS hooks) and a Recorder, a trace.Hook for any
+// process-driven tracepoint, that charges virtual time per event and
+// forwards records to a sink.
 //
 // The per-event charge is the mechanism behind the paper's central overhead
 // observation: "a constant number of traced events are generated for each
@@ -89,12 +89,6 @@ type Sink interface {
 	Emit(rec *trace.Record)
 }
 
-// SinkFunc adapts a function to Sink.
-type SinkFunc func(rec *trace.Record)
-
-// Emit implements Sink.
-func (f SinkFunc) Emit(rec *trace.Record) { f(rec) }
-
 // StreamSink adapts a pipeline sink to the hook-facing Sink interface, so a
 // framework can stream records straight into a codec or transform chain as
 // they are observed.
@@ -108,7 +102,7 @@ type StreamSink struct {
 func StreamTo(dst trace.Sink) *StreamSink { return &StreamSink{dst: dst} }
 
 // Emit implements Sink. Pipeline errors are sticky and reported by Err —
-// the hook interfaces have no error channel of their own.
+// trace.Hook has no error channel of its own.
 func (s *StreamSink) Emit(rec *trace.Record) {
 	if s.err == nil {
 		s.err = s.dst.Write(rec)
@@ -119,8 +113,8 @@ func (s *StreamSink) Emit(rec *trace.Record) {
 func (s *StreamSink) Err() error { return s.err }
 
 // Recorder charges a cost model per observed event and forwards records to
-// a sink. It implements vfs.SyscallHook and mpi.LibHook (the two interfaces
-// share their method set by design).
+// a sink. It is a trace.Hook, attached to a rank's library tracepoint or to
+// its process's syscall tracepoint.
 type Recorder struct {
 	Model  CostModel
 	Sink   Sink
@@ -137,14 +131,14 @@ func NewRecorder(model CostModel, sink Sink) *Recorder {
 	return &Recorder{Model: model, Sink: sink}
 }
 
-// Enter implements the hook entry phase.
+// Enter implements trace.Hook: charge the entry stop.
 func (r *Recorder) Enter(p *sim.Proc, name string) {
 	if r.Model.EnterCost > 0 {
 		p.Sleep(r.Model.EnterCost)
 	}
 }
 
-// Exit implements the hook exit phase: filter, charge, forward.
+// Exit implements trace.Hook: filter, charge, forward.
 func (r *Recorder) Exit(p *sim.Proc, rec *trace.Record) {
 	if r.Model.ExitCost > 0 {
 		p.Sleep(r.Model.ExitCost)

@@ -103,16 +103,6 @@ func TestEventCostMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestSinkFunc(t *testing.T) {
-	var got *trace.Record
-	s := SinkFunc(func(r *trace.Record) { got = r })
-	r := sampleRecord()
-	s.Emit(&r)
-	if got == nil || got.Name != "SYS_pwrite" {
-		t.Fatal("SinkFunc did not forward")
-	}
-}
-
 func TestCollectorClones(t *testing.T) {
 	col := &Collector{}
 	r := sampleRecord()

@@ -156,11 +156,11 @@ func (f *Framework) Run(w *mpi.World, command string, program func(p *sim.Proc, 
 		col := &interpose.Collector{}
 		rep.PerRank[me] = col
 		sysRec := interpose.NewRecorder(f.cfg.SyscallModel, col)
-		r.Proc().AttachHook(sysRec)
+		r.Proc().Tracepoint().Attach(sysRec)
 		recorders = append(recorders, sysRec)
+		libRec := interpose.NewRecorder(f.cfg.LibModel, col)
 		if f.cfg.Mode == ModeLtrace {
-			libRec := interpose.NewRecorder(f.cfg.LibModel, col)
-			r.AttachLibHook(libRec)
+			r.Tracepoint().Attach(libRec)
 			recorders = append(recorders, libRec)
 		}
 
@@ -169,8 +169,8 @@ func (f *Framework) Run(w *mpi.World, command string, program func(p *sim.Proc, 
 		appEnd[me] = p.Now()
 
 		// Detach before the post timing job.
-		r.Proc().DetachHooks()
-		r.DetachLibHooks()
+		r.Proc().Tracepoint().Detach(sysRec)
+		r.Tracepoint().Detach(libRec)
 		if !f.cfg.SkipTimingJob {
 			rep.Post[me] = timingJob(p, r)
 		}

@@ -111,10 +111,10 @@ func TestWriteAtAllAllZero(t *testing.T) {
 func TestWriteAtAllOnlyAggregatorsIssueSyscalls(t *testing.T) {
 	const ranks = 8
 	c := smallCluster(ranks)
-	recorders := make([]*syscallRecorder, ranks)
+	recorders := make([]*hookRecorder, ranks)
 	for i := 0; i < ranks; i++ {
-		recorders[i] = &syscallRecorder{}
-		c.World.Rank(i).Proc().AttachHook(recorders[i])
+		recorders[i] = &hookRecorder{}
+		c.World.Rank(i).Proc().Tracepoint().Attach(recorders[i])
 	}
 	c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
 		f, _ := r.FileOpen(p, "/pfs/agg", mpi.ModeCreate|mpi.ModeWronly)
@@ -141,7 +141,7 @@ func TestWriteAtAllOnlyAggregatorsIssueSyscalls(t *testing.T) {
 func TestWriteAtAllTracedAsCollective(t *testing.T) {
 	c := smallCluster(2)
 	h := &hookRecorder{}
-	c.World.Rank(0).AttachLibHook(h)
+	c.World.Rank(0).Tracepoint().Attach(h)
 	c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
 		f, _ := r.FileOpen(p, "/pfs/t", mpi.ModeCreate|mpi.ModeWronly)
 		f.WriteAtAll(p, int64(r.RankID())*4096, 4096)

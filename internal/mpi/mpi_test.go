@@ -179,7 +179,8 @@ func TestFileOpenWriteClose(t *testing.T) {
 	}
 }
 
-// hookRecorder collects MPI library call records.
+// hookRecorder collects the records of the tracepoint it is attached to:
+// library calls on a rank, syscalls on its process.
 type hookRecorder struct{ recs []trace.Record }
 
 func (h *hookRecorder) Enter(p *sim.Proc, name string)      {}
@@ -197,7 +198,7 @@ func TestLibHookSeesMPICalls(t *testing.T) {
 	hooks := make([]*hookRecorder, 2)
 	for i := 0; i < 2; i++ {
 		hooks[i] = &hookRecorder{}
-		c.World.Rank(i).AttachLibHook(hooks[i])
+		c.World.Rank(i).Tracepoint().Attach(hooks[i])
 	}
 	c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
 		r.Init(p)
@@ -224,16 +225,10 @@ func TestLibHookSeesMPICalls(t *testing.T) {
 	}
 }
 
-// syscallRecorder collects syscall records (strace view).
-type syscallRecorder struct{ recs []trace.Record }
-
-func (h *syscallRecorder) Enter(p *sim.Proc, name string)      {}
-func (h *syscallRecorder) Exit(p *sim.Proc, rec *trace.Record) { h.recs = append(h.recs, rec.Clone()) }
-
 func TestMPIFileOpenEmitsFigure1Syscalls(t *testing.T) {
 	c := smallCluster(1)
-	sys := &syscallRecorder{}
-	c.World.Rank(0).Proc().AttachHook(sys)
+	sys := &hookRecorder{}
+	c.World.Rank(0).Proc().Tracepoint().Attach(sys)
 	c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
 		r.Init(p)
 		f, err := r.FileOpen(p, "/pfs/data", mpi.ModeCreate|mpi.ModeWronly)
@@ -293,8 +288,8 @@ func TestRunToCompletionElapsed(t *testing.T) {
 func TestDetachLibHooks(t *testing.T) {
 	c := smallCluster(1)
 	h := &hookRecorder{}
-	c.World.Rank(0).AttachLibHook(h)
-	c.World.Rank(0).DetachLibHooks()
+	c.World.Rank(0).Tracepoint().Attach(h)
+	c.World.Rank(0).Tracepoint().Detach(h)
 	c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
 		r.Barrier(p)
 	})

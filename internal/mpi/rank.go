@@ -17,9 +17,9 @@ type Rank struct {
 	pc    *vfs.ProcCtx
 	inbox *sim.Mailbox[netsim.Message]
 
-	pending  []mpiMsg // arrived but unmatched messages
-	barGen   int      // barrier generation counter
-	libHooks []LibHook
+	pending []mpiMsg    // arrived but unmatched messages
+	barGen  int         // barrier generation counter
+	tp      trace.Point // the library-call tracepoint
 
 	// Stats.
 	LibCalls int64
@@ -37,16 +37,14 @@ func (r *Rank) Proc() *vfs.ProcCtx { return r.pc }
 // World returns the owning world.
 func (r *Rank) World() *World { return r.world }
 
-// AttachLibHook installs a library-call hook (ltrace / LD_PRELOAD style).
-func (r *Rank) AttachLibHook(h LibHook) { r.libHooks = append(r.libHooks, h) }
+// Tracepoint returns the rank's library-call tracepoint, where ltrace and
+// LD_PRELOAD style tracers subscribe.
+func (r *Rank) Tracepoint() *trace.Point { return &r.tp }
 
-// DetachLibHooks removes all library hooks.
-func (r *Rank) DetachLibHooks() { r.libHooks = nil }
-
-// libcall wraps an MPI library call with hook entry/exit and a trace record,
-// mirroring ProcCtx.syscall at the library boundary. args renders the
-// formatted argument list and is only invoked when a library hook is
-// attached, so untraced runs pay no per-call formatting cost.
+// libcall wraps an MPI library call with tracepoint entry/exit and a trace
+// record, mirroring ProcCtx.syscall at the library boundary. args renders
+// the formatted argument list and is only invoked when the tracepoint is
+// armed, so untraced runs pay no per-call formatting cost.
 func (r *Rank) libcall(p *sim.Proc, name string, args func() []string, body func() string) {
 	r.libcallEnrich(p, name, args, func() (string, func(*trace.Record)) {
 		return body(), nil
@@ -56,9 +54,7 @@ func (r *Rank) libcall(p *sim.Proc, name string, args func() []string, body func
 // libcallEnrich is libcall with a record-enrichment callback, used by MPI-IO
 // calls to attach the file path behind the descriptor.
 func (r *Rank) libcallEnrich(p *sim.Proc, name string, args func() []string, body func() (string, func(*trace.Record))) {
-	for _, h := range r.libHooks {
-		h.Enter(p, name)
-	}
+	r.tp.Enter(p, name)
 	// Span allocation is unconditional: the counter has zero effect on the
 	// schedule, and child layers need the context even when only a deeper
 	// tracer is attached.
@@ -69,7 +65,7 @@ func (r *Rank) libcallEnrich(p *sim.Proc, name string, args func() []string, bod
 	dur := p.Now() - start
 	p.SetSpan(parent)
 	r.LibCalls++
-	if len(r.libHooks) > 0 {
+	if r.tp.Armed() {
 		rec := trace.Record{
 			Time:   r.pc.Kernel().LocalTime(start),
 			Dur:    dur,
@@ -87,9 +83,7 @@ func (r *Rank) libcallEnrich(p *sim.Proc, name string, args func() []string, bod
 		if enrich != nil {
 			enrich(&rec)
 		}
-		for _, h := range r.libHooks {
-			h.Exit(p, &rec)
-		}
+		r.tp.Exit(p, &rec)
 	}
 }
 

@@ -5,27 +5,19 @@
 // MPI-IO calls execute real system calls through the node kernel, so an
 // strace-style tracer attached at the syscall boundary observes the nested
 // SYS_statfs64/SYS_open/... sequence of Figure 1, while an ltrace-style
-// tracer additionally observes the MPI_* library calls via LibHook — exactly
-// the strace/ltrace distinction LANL-Trace exposes as its granularity knob.
+// tracer additionally observes the MPI_* library calls on each rank's
+// library tracepoint (Rank.Tracepoint) — exactly the strace/ltrace
+// distinction LANL-Trace exposes as its granularity knob.
 package mpi
 
 import (
 	"iotaxo/internal/netsim"
 	"iotaxo/internal/sim"
-	"iotaxo/internal/trace"
 	"iotaxo/internal/vfs"
 )
 
 // PortBase is the first network port used by MPI ranks (one port per rank).
 const PortBase = 7200
-
-// LibHook observes library calls on one rank: the attachment point for
-// ltrace-style tracing (LANL-Trace in ltrace mode) and for LD_PRELOAD
-// interposition (//TRACE). Both phases may charge virtual time.
-type LibHook interface {
-	Enter(p *sim.Proc, name string)
-	Exit(p *sim.Proc, rec *trace.Record)
-}
 
 // World is an MPI job: a set of ranks bound to node kernels. Ranks live in
 // one contiguous slab (65536-rank worlds allocate one array, not 65536

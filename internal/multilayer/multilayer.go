@@ -53,13 +53,26 @@ type Session struct {
 	lib     []*interpose.Collector // per rank
 	sys     []*interpose.Collector // per rank
 	fs      []*fsLayer             // per compute node
+	srv     serverLayers           // net, PFS and disk
+}
 
-	// Server-side layers, fed by the netsim / pfs / disk tracers. These
-	// records carry Rank -1 and global (env) timestamps; the span fields
-	// tie them back into the per-rank causal chains.
-	netCol  interpose.Collector
-	pfsCol  interpose.Collector
-	diskCol interpose.Collector
+// serverLayers is the subscriber on the network's server-side tracepoint,
+// one collector per server-side layer (indexed from LayerNet), split by
+// Class. These records carry Rank -1 and global (env) timestamps; the span
+// fields tie them back into the per-rank causal chains.
+type serverLayers [3]interpose.Collector
+
+func (*serverLayers) Enter(*sim.Proc, string) {}
+
+func (l *serverLayers) Exit(_ *sim.Proc, r *trace.Record) {
+	layer := LayerPFS
+	switch r.Class {
+	case trace.ClassNetMsg:
+		layer = LayerNet
+	case trace.ClassDiskIO:
+		layer = LayerDisk
+	}
+	l[layer-LayerNet].Emit(r)
 }
 
 // Attach instruments every rank of the cluster at all three layers. Must
@@ -75,8 +88,8 @@ func Attach(c *cluster.Cluster) *Session {
 		r := c.World.Rank(i)
 		libCol := &interpose.Collector{}
 		sysCol := &interpose.Collector{}
-		r.AttachLibHook(interpose.NewRecorder(interpose.Preload(), libCol))
-		r.Proc().AttachHook(interpose.NewRecorder(interpose.VFSHook(), sysCol))
+		r.Tracepoint().Attach(interpose.NewRecorder(interpose.Preload(), libCol))
+		r.Proc().Tracepoint().Attach(interpose.NewRecorder(interpose.VFSHook(), sysCol))
 		s.lib = append(s.lib, libCol)
 		s.sys = append(s.sys, sysCol)
 		if _, seen := firstRank[r.Node()]; !seen {
@@ -96,17 +109,9 @@ func Attach(c *cluster.Cluster) *Session {
 		k.Mount(cluster.PFSMount, fl)
 		s.fs = append(s.fs, fl)
 	}
-	// Arm the three server-side layers. The network tracer emits one
-	// delivery record per message; the PFS tracer covers both the request
-	// handlers and (routed by class) the RAID groups beneath them.
-	c.Net.SetTracer(func(r *trace.Record) { s.netCol.Emit(r) })
-	c.PFS.SetTracer(func(r *trace.Record) {
-		if r.Class == trace.ClassDiskIO {
-			s.diskCol.Emit(r)
-			return
-		}
-		s.pfsCol.Emit(r)
-	})
+	// Arm the three server-side layers: one delivery record per network
+	// message, one per PFS request, one per RAID array call.
+	c.Net.Tracepoint().Attach(&s.srv)
 	return s
 }
 
@@ -236,12 +241,8 @@ func (s *Session) LayerSource(l Layer) trace.Source {
 		for _, fl := range s.fs {
 			srcs = append(srcs, fl.col.Source())
 		}
-	case LayerNet:
-		srcs = append(srcs, s.netCol.Source())
-	case LayerPFS:
-		srcs = append(srcs, s.pfsCol.Source())
-	case LayerDisk:
-		srcs = append(srcs, s.diskCol.Source())
+	case LayerNet, LayerPFS, LayerDisk:
+		srcs = append(srcs, s.srv[l-LayerNet].Source())
 	}
 	return trace.ChainSources(srcs...)
 }

@@ -49,9 +49,9 @@ type Message struct {
 
 	// Span is the causal span the message travels under: the sender's
 	// current span (stamped automatically by Send/Call, explicitly by the
-	// event-chain variants). When a network tracer is attached, delivery
-	// records a ClassNetMsg child span and rewrites this field to it, so the
-	// receiver's records parent to the network hop.
+	// event-chain variants). When the server-side tracepoint is armed,
+	// delivery records a ClassNetMsg child span and rewrites this field to
+	// it, so the receiver's records parent to the network hop.
 	Span uint64
 }
 
@@ -107,13 +107,12 @@ type Network struct {
 	ifaceArena []Iface
 	boxArena   []sim.Mailbox[Message]
 
-	// tracer, when set, receives one ClassNetMsg record per message
-	// delivery. Untraced networks pay nothing on the delivery path.
-	tracer func(*trace.Record)
+	tp trace.Point // one ClassNetMsg record per message delivery
 }
 
-// SetTracer installs (or, with nil, removes) the delivery tracer.
-func (n *Network) SetTracer(fn func(*trace.Record)) { n.tracer = fn }
+// Tracepoint returns the deployment's server-side tracepoint, shared by the
+// network, the PFS servers built on it and their disk arrays.
+func (n *Network) Tracepoint() *trace.Point { return &n.tp }
 
 // New returns an empty network with the given configuration.
 func New(env *sim.Env, cfg Config) *Network {
@@ -269,13 +268,13 @@ func (n *Network) deliver(dst *Iface, box *sim.Mailbox[Message], msg Message, wi
 			dst.rx.HoldForThen(rxTime, func() {
 				dst.BytesReceived += wire
 				dst.MsgsReceived++
-				if n.tracer != nil {
+				if n.tp.Armed() {
 					// Record the hop as a child span and hand that span to
 					// the receiver, so its records parent to the network
-					// layer; with no tracer the sender's span passes through
-					// untouched and the chain simply skips this layer.
+					// layer; with no subscriber the sender's span passes
+					// through untouched and the chain skips this layer.
 					span := n.env.NextSpanID()
-					n.tracer(&trace.Record{
+					n.tp.Exit(nil, &trace.Record{
 						Time:   start,
 						Dur:    n.env.Now() - start,
 						Node:   dst.name,

@@ -124,7 +124,7 @@ func isReplayableCall(name string) bool {
 	return false
 }
 
-// Enter implements mpi.LibHook.
+// Enter implements trace.Hook.
 func (h *ioHook) Enter(p *sim.Proc, name string) {
 	if h.model.EnterCost > 0 {
 		p.Sleep(h.model.EnterCost)
@@ -132,7 +132,7 @@ func (h *ioHook) Enter(p *sim.Proc, name string) {
 	h.enterAt = p.Now()
 }
 
-// Exit implements mpi.LibHook.
+// Exit implements trace.Hook.
 func (h *ioHook) Exit(p *sim.Proc, rec *trace.Record) {
 	if h.model.ExitCost > 0 {
 		p.Sleep(h.model.ExitCost)
@@ -179,7 +179,7 @@ func (f *Framework) runObservedOn(c *cluster.Cluster, program func(*sim.Proc, *m
 		if i == throttledRank {
 			hooks[i].throttle = f.cfg.ThrottleDelay
 		}
-		c.World.Rank(i).AttachLibHook(hooks[i])
+		c.World.Rank(i).Tracepoint().Attach(hooks[i])
 	}
 	elapsed := c.World.RunToCompletion(program)
 	if raw != nil && raw.Err() != nil {

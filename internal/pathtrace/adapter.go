@@ -35,7 +35,7 @@ func (fwAdapter) Attach(c *cluster.Cluster) framework.Session {
 	for i := 0; i < c.World.Size(); i++ {
 		r := c.World.Rank(i)
 		h := &pathHook{s: s, rank: i, node: r.Node()}
-		r.AttachLibHook(h)
+		r.Tracepoint().Attach(h)
 		s.hooks = append(s.hooks, h)
 	}
 	return s
@@ -58,10 +58,10 @@ type pathHook struct {
 	recs []trace.Record
 }
 
-// Enter implements mpi.LibHook.
+// Enter implements trace.Hook.
 func (h *pathHook) Enter(p *sim.Proc, name string) {}
 
-// Exit implements mpi.LibHook: record the call as a path event, joining the
+// Exit implements trace.Hook: record the call as a path event, joining the
 // job's causal path on the rank's first call.
 func (h *pathHook) Exit(p *sim.Proc, rec *trace.Record) {
 	p.Sleep(perEventCost)

@@ -125,11 +125,12 @@ type clientFile struct {
 
 // transfer fans one logical range out to the owning servers and waits for
 // all of them (one RPC per server, physically-adjacent units batched). Each
-// RPC is a pure event chain — the retired engine forked one "pfs.io"
-// process per server per call, the single largest source of goroutine churn
-// in the simulator. The kickoff events below take the schedule slots those
-// spawn dispatches occupied and the responses accumulate in arrival order,
-// so the schedule (and firstErr selection) is identical.
+// RPC is a pure event chain, with no process per server.
+//
+// Ordering invariant: the RPCs are kicked off in server-index order, one
+// scheduled event each at the current instant, and the responses
+// accumulate in arrival order, so the first error in arrival order is the
+// one reported.
 func (f *clientFile) transfer(p *sim.Proc, offset, length int64, write bool) (int64, error) {
 	sys := f.client.sys
 	grouped := coalesce(sys.mapRange(offset, length))

@@ -37,11 +37,13 @@ func newMetaServer(sys *System) *metaServer {
 }
 
 // start arms the event-driven serve chain. Like the data servers, the
-// metadata server runs with zero processes (the retired engine kept one
-// permanent ".serve" loop): requests are received by a re-arming GetThen and
-// handled as an event chain. Service stays strictly serial — the next
-// request is accepted only after the current response has fully left the
-// NIC, exactly where the retired serve loop cycled back into Get.
+// metadata server runs with zero processes: requests are received by a
+// re-arming GetThen and handled as an event chain.
+//
+// Ordering invariant: service is strictly serial and in arrival order — the
+// next request is accepted only after the current response has fully left
+// the NIC, so one request's namespace mutation and journal writes never
+// interleave with another's.
 func (m *metaServer) start() { m.armServe() }
 
 func (m *metaServer) armServe() {
@@ -64,23 +66,22 @@ const oCreate = 0x40 // mirrors vfs.OCreate without importing it
 const oTrunc = 0x200
 
 // handleThen services one metadata request as an event chain: the fixed
-// CPU cost first (one scheduled event, where the retired handler slept),
-// then the namespace mutation with journal writes chained through the
-// journal disk.
+// CPU cost first (one scheduled event), then the namespace mutation with
+// journal writes chained through the journal disk.
 func (m *metaServer) handleThen(req metaReq, parent uint64, done func(metaResp)) {
-	// Unconditional span allocation (pure counter), tracer-gated emission:
-	// the PFS_meta_* record covers the whole request including the fixed
-	// CPU cost and any journal writes.
+	// Unconditional span allocation (pure counter), emission only when the
+	// tracepoint is armed: the PFS_meta_* record covers the whole request
+	// including the fixed CPU cost and any journal writes.
 	span := m.sys.env.NextSpanID()
 	start := m.sys.env.Now()
 	inner := done
 	done = func(resp metaResp) {
-		if m.sys.tracer != nil {
+		if m.sys.tp.Armed() {
 			ret := "0"
 			if resp.Err != "" {
 				ret = "-1 " + resp.Err
 			}
-			m.sys.tracer(&trace.Record{
+			m.sys.tp.Exit(nil, &trace.Record{
 				Time: start, Dur: m.sys.env.Now() - start,
 				Node: m.sys.mdsNode, Rank: -1,
 				Class: trace.ClassPFSOp, Name: "PFS_meta_" + req.Op,
@@ -150,8 +151,8 @@ func (m *metaServer) handleThen(req metaReq, parent uint64, done func(metaResp))
 }
 
 // journalWriteThen appends a journal record for a namespace mutation,
-// calling done when the write leaves the journal disk. As in the retired
-// blocking version, the journal position advances after the write completes
+// calling done when the write leaves the journal disk. The journal position
+// advances after the write completes — safe because service is serial —
 // and write errors are ignored (the journal disk never fails in these
 // simulations).
 func (m *metaServer) journalWriteThen(done func()) {

@@ -103,28 +103,14 @@ type System struct {
 	mdsNode string
 	servers []*server
 	meta    *metaServer
-
-	// tracer, when set, receives one ClassPFSOp record per served request
-	// (data servers and the metadata server alike).
-	tracer func(*trace.Record)
-}
-
-// SetTracer installs (or, with nil fn, removes) a request tracer on the
-// deployment. The same sink is also installed as the DISK tracer on every
-// object server's RAID group, labelled with the owning server's node, so one
-// call arms the two deepest layers of the causal chain.
-func (s *System) SetTracer(fn func(*trace.Record)) {
-	s.tracer = fn
-	for _, srv := range s.servers {
-		srv.array.SetTracer(srv.node, fn)
-	}
+	tp      *trace.Point // the network's: one ClassPFSOp record per request
 }
 
 // New builds and starts a deployment. Node names are derived from cfg.Name
 // so several systems can share one network.
 func New(net_ *netsim.Network, cfg Config) *System {
 	cfg = cfg.fix()
-	s := &System{cfg: cfg, net: net_, env: net_.Env(), mdsNode: cfg.Name + "-mds"}
+	s := &System{cfg: cfg, net: net_, env: net_.Env(), mdsNode: cfg.Name + "-mds", tp: net_.Tracepoint()}
 	net_.AddNode(s.mdsNode)
 	s.meta = newMetaServer(s)
 	s.meta.start()

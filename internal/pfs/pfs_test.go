@@ -8,6 +8,7 @@ import (
 	"iotaxo/internal/disk"
 	"iotaxo/internal/netsim"
 	"iotaxo/internal/sim"
+	"iotaxo/internal/trace"
 	"iotaxo/internal/vfs"
 )
 
@@ -380,5 +381,66 @@ func TestCoalesceReducesMessages(t *testing.T) {
 	}
 	if len(grouped) != 4 {
 		t.Fatalf("grouped servers = %d", len(grouped))
+	}
+}
+
+// spanRecorder subscribes to a server-side tracepoint.
+type spanRecorder struct{ recs []trace.Record }
+
+func (h *spanRecorder) Enter(*sim.Proc, string)           {}
+func (h *spanRecorder) Exit(_ *sim.Proc, r *trace.Record) { h.recs = append(h.recs, r.Clone()) }
+
+// TestServerRequestSpanPassThrough pins the span a data server receives a
+// request under. With nothing subscribed to the network's tracepoint the
+// sender's span passes straight through (the PFS records are taken from a
+// separate probe point here); with a subscriber the request arrives under
+// the span of its NET_deliver record, which is the sender's child.
+func TestServerRequestSpanPassThrough(t *testing.T) {
+	const clientSpan = 1 << 40
+	for _, armed := range []bool{false, true} {
+		env, net_, sys, cl := testDeployment(1)
+		rec := &spanRecorder{}
+		if armed {
+			net_.Tracepoint().Attach(rec)
+		} else {
+			sys.tp = &trace.Point{}
+			sys.tp.Attach(rec)
+		}
+		env.Go("app", func(p *sim.Proc) {
+			f, _ := cl.Open(p, "/pfs/span", vfs.OCreate|vfs.OWronly, 0o644, vfs.Cred{})
+			p.SetSpan(clientSpan)
+			f.WriteAt(p, 0, 256<<10)
+			p.SetSpan(0)
+			f.Close(p)
+		})
+		env.Run()
+		deliver := make(map[uint64]trace.Record)
+		for _, r := range rec.recs {
+			if r.Name == "NET_deliver" {
+				deliver[r.Span] = r
+			}
+		}
+		writes := 0
+		for _, r := range rec.recs {
+			if r.Name != "PFS_write" {
+				continue
+			}
+			writes++
+			if !armed {
+				if r.Parent != clientSpan {
+					t.Errorf("unarmed: PFS_write parent %d, want the sender's span %d", r.Parent, uint64(clientSpan))
+				}
+				continue
+			}
+			if d, ok := deliver[r.Parent]; !ok || d.Parent != clientSpan {
+				t.Errorf("armed: PFS_write parent %d is not a NET_deliver child of the sender's span (%+v, %v)", r.Parent, d, ok)
+			}
+		}
+		if writes == 0 {
+			t.Fatalf("armed=%v: no PFS_write records", armed)
+		}
+		if armed != (len(deliver) > 0) {
+			t.Fatalf("armed=%v: %d NET_deliver records", armed, len(deliver))
+		}
 	}
 }

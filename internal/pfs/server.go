@@ -73,7 +73,7 @@ func newServer(sys *System, idx int) *server {
 		sys:     sys,
 		idx:     idx,
 		node:    node,
-		array:   disk.NewArray(sys.env, sys.cfg.Array),
+		array:   disk.NewArray(sys.env, sys.cfg.Array, node, sys.tp),
 		inbox:   sys.net.Listen(node, Port),
 		pool:    sim.NewResource(sys.env, sys.cfg.ServerProcs),
 		objects: make(map[string]*objState),
@@ -83,21 +83,17 @@ func newServer(sys *System, idx int) *server {
 // start arms the event-driven dispatch chain. The server runs with zero
 // processes: requests are received by a re-arming GetThen on the inbox,
 // admitted through the handler pool with AcquireThen, and handled as pure
-// event chains — no goroutine is created per request (the retired engine
-// forked one short-lived ".worker" process per message, plus a permanent
-// ".dispatch" loop).
+// event chains — no goroutine is created per request.
 //
-// The event sequencing mirrors the retired process engine exactly: the
-// GetThen callback fires where the dispatch process woke, the After(0)
-// kickoff below occupies the slot of the worker's spawn-dispatch event, and
-// AcquireThen queues on the same FIFO the worker's Acquire parked on — so
-// simulated timestamps are byte-identical while goroutine churn drops to
-// zero.
+// Ordering invariant: a request is admitted one event after it is received
+// (the After(0) kickoff below), and admissions queue FIFO on the handler
+// pool, so requests that arrive at one instant are served in arrival order
+// and the simulated timestamps depend only on arrival order and pool size.
 func (s *server) start() { s.armDispatch() }
 
-// armDispatch registers the next-request callback. Re-arming from inside the
-// callback mirrors the dispatch loop cycling back into Get, including
-// consuming a burst of queued messages within one wake.
+// armDispatch registers the next-request callback. It re-arms from inside
+// the callback, so a burst of messages already queued in the inbox is
+// consumed within one wake, in queue order.
 func (s *server) armDispatch() {
 	s.inbox.GetThen(func(msg netsim.Message) {
 		s.Requests++
@@ -113,33 +109,29 @@ func (s *server) armDispatch() {
 }
 
 // handleThen services one request while holding a pool unit; done releases
-// it once the response has fully left the server's NIC (the same point the
-// retired worker's deferred Release ran).
+// it once the response has fully left the server's NIC, so a pool unit
+// covers the whole request including the response transfer.
 func (s *server) handleThen(req any, parent uint64, respond func(int64, any, func()), done func()) {
 	// Span allocation is unconditional (pure counter, schedule-neutral);
-	// record emission stays tracer-gated.
+	// records are emitted only when the tracepoint is armed.
 	span := s.sys.env.NextSpanID()
 	start := s.sys.env.Now()
 	switch r := req.(type) {
 	case ioReq:
 		s.handleIOThen(r, span, func(n int64, err error) {
-			if s.sys.tracer != nil {
+			if s.sys.tp.Armed() {
 				name := "PFS_read"
 				if r.Write {
 					name = "PFS_write"
-				}
-				ret := "0"
-				if err != nil {
-					ret = "-1 " + err.Error()
 				}
 				var off int64
 				if len(r.Ranges) > 0 {
 					off = s.sys.logicalOffset(s.idx, r.Ranges[0].phys)
 				}
-				s.sys.tracer(&trace.Record{
+				s.sys.tp.Exit(nil, &trace.Record{
 					Time: start, Dur: s.sys.env.Now() - start,
 					Node: s.node, Rank: -1,
-					Class: trace.ClassPFSOp, Name: name, Ret: ret,
+					Class: trace.ClassPFSOp, Name: name, Ret: trace.Ret(err),
 					Path: r.Path, Offset: off, Bytes: n,
 					Span: span, Parent: parent,
 				})
@@ -156,8 +148,8 @@ func (s *server) handleThen(req any, parent uint64, respond func(int64, any, fun
 		})
 	case truncReq:
 		delete(s.objects, r.Path)
-		if s.sys.tracer != nil {
-			s.sys.tracer(&trace.Record{
+		if s.sys.tp.Armed() {
+			s.sys.tp.Exit(nil, &trace.Record{
 				Time: start, Dur: 0, Node: s.node, Rank: -1,
 				Class: trace.ClassPFSOp, Name: "PFS_trunc", Ret: "0",
 				Path: r.Path, Span: span, Parent: parent,
@@ -169,10 +161,11 @@ func (s *server) handleThen(req any, parent uint64, respond func(int64, any, fun
 	}
 }
 
-// handleIOThen runs the per-range transfers serially as an event chain,
-// mirroring the retired worker's loop: digest state updates after each write
-// completes, reads clamp against the object's physical end as it stands when
-// the range is reached, and the first error aborts the remaining ranges.
+// handleIOThen runs the per-range transfers serially as an event chain, in
+// request order: each range starts only when the previous one completes,
+// digest state updates after each write completes, reads clamp against the
+// object's physical end as it stands when the range is reached, and the
+// first error aborts the remaining ranges.
 func (s *server) handleIOThen(r ioReq, span uint64, done func(int64, error)) {
 	st, ok := s.objects[r.Path]
 	if !ok {

@@ -120,6 +120,12 @@ func (e *Env) RunUntil(deadline Time) Time {
 		panic("sim: environment already stopped")
 	}
 	e.running = true
+	// Deferred so that a panic out of an event or process still kills the
+	// bystanders: their goroutines exit without the caller calling Stop.
+	defer func() {
+		e.running = false
+		e.Stop()
+	}()
 	for e.queue.Len() > 0 && e.queue.Peek().at <= deadline {
 		ev := e.queue.Pop()
 		e.now = ev.at
@@ -128,8 +134,6 @@ func (e *Env) RunUntil(deadline Time) Time {
 	if deadline != MaxTime && deadline > e.now {
 		e.now = deadline
 	}
-	e.running = false
-	e.Stop()
 	return e.now
 }
 

@@ -40,6 +40,47 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 	}
 }
 
+// TestProcPanicReleasesBystanders panics inside a process while others are
+// parked and checks that, with no Stop from the caller, Run has killed the
+// bystanders: their deferred calls ran and their goroutines exited.
+func TestProcPanicReleasesBystanders(t *testing.T) {
+	const n = 4
+	base := runtime.NumGoroutine()
+	env := NewEnv(1)
+	unwound := 0
+	for i := 0; i < n; i++ {
+		env.Go("bystander", func(p *Proc) {
+			defer func() { unwound++ }()
+			p.Sleep(Second)
+		})
+	}
+	env.Go("bomber", func(p *Proc) {
+		p.Sleep(10)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Run returned without surfacing the panic")
+			}
+		}()
+		env.Run()
+	}()
+	if unwound != n {
+		t.Errorf("deferred calls ran in %d of %d bystanders", unwound, n)
+	}
+	if env.LiveProcs() != 0 {
+		t.Errorf("LiveProcs after the panic = %d, want 0", env.LiveProcs())
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after the panic, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestStopReleasesGoroutinesAndRunsDefers kills processes two ways — parked
 // past a RunUntil deadline (on a sleep, a mailbox and a wait group), and
 // spawned but never dispatched — and checks that the parked ones unwind

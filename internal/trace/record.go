@@ -125,6 +125,15 @@ func (r *Record) HasSpan() bool { return r.Span != 0 || r.Parent != 0 }
 // IsIO reports whether the record moved file data.
 func (r *Record) IsIO() bool { return r.Bytes > 0 }
 
+// Ret formats a call's outcome as a record's return value: "0" on
+// success, "-1 " and the error text on failure.
+func Ret(err error) string {
+	if err == nil {
+		return "0"
+	}
+	return "-1 " + err.Error()
+}
+
 // IODir classifies a record's data-movement direction.
 type IODir uint8
 

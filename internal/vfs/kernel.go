@@ -11,15 +11,6 @@ import (
 	"iotaxo/internal/trace"
 )
 
-// SyscallHook observes system calls made by one process: the attachment
-// point for strace-style tracers (LANL-Trace). Enter runs before the call
-// executes and Exit after; both may charge virtual time on p (ptrace stops
-// the tracee twice per call), and Exit receives the completed record.
-type SyscallHook interface {
-	Enter(p *sim.Proc, name string)
-	Exit(p *sim.Proc, rec *trace.Record)
-}
-
 // KernelConfig tunes per-node kernel costs.
 type KernelConfig struct {
 	SyscallCost sim.Duration // base user/kernel crossing cost per syscall
@@ -120,7 +111,7 @@ func (k *Kernel) Spawn(cred Cred) *ProcCtx {
 func (k *Kernel) Procs() []*ProcCtx { return k.procs }
 
 // ProcCtx is one process's kernel-side state: credentials, fd table, and the
-// tracer hooks attached to it.
+// syscall tracepoint tracers subscribe to.
 type ProcCtx struct {
 	kernel *Kernel
 	pid    int
@@ -134,7 +125,7 @@ type ProcCtx struct {
 	// A closed entry keeps its slot with file == nil.
 	fds    []fdEntry
 	nextFD int
-	hooks  []SyscallHook
+	tp     trace.Point
 }
 
 type fdEntry struct {
@@ -159,25 +150,18 @@ func (pc *ProcCtx) Rank() int { return pc.rank }
 // Kernel returns the owning kernel.
 func (pc *ProcCtx) Kernel() *Kernel { return pc.kernel }
 
-// AttachHook installs a syscall hook (tracer) on this process.
-func (pc *ProcCtx) AttachHook(h SyscallHook) { pc.hooks = append(pc.hooks, h) }
+// Tracepoint returns the process's syscall tracepoint, where strace-style
+// tracers subscribe.
+func (pc *ProcCtx) Tracepoint() *trace.Point { return &pc.tp }
 
-// DetachHooks removes all tracer hooks.
-func (pc *ProcCtx) DetachHooks() { pc.hooks = nil }
-
-// Traced reports whether any hook is attached.
-func (pc *ProcCtx) Traced() bool { return len(pc.hooks) > 0 }
-
-// syscall wraps the execution of one system call with hook entry/exit, the
-// base kernel-crossing cost, and record construction. args renders the
-// call's formatted argument list; it is only invoked when a tracer is
-// attached, so untraced runs — half of every overhead sweep — pay no
+// syscall wraps the execution of one system call with tracepoint entry/exit,
+// the base kernel-crossing cost, and record construction. args renders the
+// call's formatted argument list; it is only invoked when the tracepoint is
+// armed, so untraced runs — half of every overhead sweep — pay no
 // string-formatting or slice-allocation cost per call. Laziness cannot
 // change simulated time: argument rendering charges no virtual cost.
 func (pc *ProcCtx) syscall(p *sim.Proc, name string, args func() []string, body func() (ret string, rec func(*trace.Record))) string {
-	for _, h := range pc.hooks {
-		h.Enter(p, name)
-	}
+	pc.tp.Enter(p, name)
 	// Unconditional span allocation (pure counter, schedule-neutral): child
 	// layers inherit the context even when only a deeper tracer is attached.
 	span := p.Env().NextSpanID()
@@ -188,7 +172,7 @@ func (pc *ProcCtx) syscall(p *sim.Proc, name string, args func() []string, body 
 	dur := p.Now() - start
 	p.SetSpan(parent)
 	pc.kernel.SyscallCount++
-	if len(pc.hooks) > 0 {
+	if pc.tp.Armed() {
 		rec := trace.Record{
 			Time:   pc.kernel.LocalTime(start),
 			Dur:    dur,
@@ -207,18 +191,9 @@ func (pc *ProcCtx) syscall(p *sim.Proc, name string, args func() []string, body 
 		if enrich != nil {
 			enrich(&rec)
 		}
-		for _, h := range pc.hooks {
-			h.Exit(p, &rec)
-		}
+		pc.tp.Exit(p, &rec)
 	}
 	return ret
-}
-
-func errnoString(err error) string {
-	if err == nil {
-		return "0"
-	}
-	return "-1 " + err.Error()
 }
 
 // Open opens path, returning a file descriptor.
@@ -233,12 +208,12 @@ func (pc *ProcCtx) Open(p *sim.Proc, path string, flags OpenFlag, mode int) (int
 			var fs Filesystem
 			fs, err = pc.kernel.Resolve(path)
 			if err != nil {
-				return errnoString(err), nil
+				return trace.Ret(err), nil
 			}
 			var f File
 			f, err = fs.Open(p, path, flags, mode, pc.cred)
 			if err != nil {
-				return errnoString(err), nil
+				return trace.Ret(err), nil
 			}
 			fd = pc.nextFD
 			pc.nextFD++
@@ -271,15 +246,15 @@ func (pc *ProcCtx) PWrite(p *sim.Proc, fd int, offset, length int64) (int64, err
 			var e *fdEntry
 			e, err = pc.fd(fd)
 			if err != nil {
-				return errnoString(err), nil
+				return trace.Ret(err), nil
 			}
 			if !e.flags.CanWrite() {
 				err = ErrReadOnly
-				return errnoString(err), nil
+				return trace.Ret(err), nil
 			}
 			n, err = e.file.WriteAt(p, offset, length)
 			if err != nil {
-				return errnoString(err), nil
+				return trace.Ret(err), nil
 			}
 			path := e.path
 			return strconv.FormatInt(n, 10), func(r *trace.Record) {
@@ -299,16 +274,16 @@ func (pc *ProcCtx) Write(p *sim.Proc, fd int, length int64) (int64, error) {
 			var e *fdEntry
 			e, err = pc.fd(fd)
 			if err != nil {
-				return errnoString(err), nil
+				return trace.Ret(err), nil
 			}
 			if !e.flags.CanWrite() {
 				err = ErrReadOnly
-				return errnoString(err), nil
+				return trace.Ret(err), nil
 			}
 			off := e.pos
 			n, err = e.file.WriteAt(p, off, length)
 			if err != nil {
-				return errnoString(err), nil
+				return trace.Ret(err), nil
 			}
 			e.pos += n
 			path := e.path
@@ -331,15 +306,15 @@ func (pc *ProcCtx) PRead(p *sim.Proc, fd int, offset, length int64) (int64, erro
 			var e *fdEntry
 			e, err = pc.fd(fd)
 			if err != nil {
-				return errnoString(err), nil
+				return trace.Ret(err), nil
 			}
 			if !e.flags.CanRead() {
 				err = ErrWriteOnly
-				return errnoString(err), nil
+				return trace.Ret(err), nil
 			}
 			n, err = e.file.ReadAt(p, offset, length)
 			if err != nil {
-				return errnoString(err), nil
+				return trace.Ret(err), nil
 			}
 			path := e.path
 			return strconv.FormatInt(n, 10), func(r *trace.Record) {
@@ -359,16 +334,16 @@ func (pc *ProcCtx) Read(p *sim.Proc, fd int, length int64) (int64, error) {
 			var e *fdEntry
 			e, err = pc.fd(fd)
 			if err != nil {
-				return errnoString(err), nil
+				return trace.Ret(err), nil
 			}
 			if !e.flags.CanRead() {
 				err = ErrWriteOnly
-				return errnoString(err), nil
+				return trace.Ret(err), nil
 			}
 			off := e.pos
 			n, err = e.file.ReadAt(p, off, length)
 			if err != nil {
-				return errnoString(err), nil
+				return trace.Ret(err), nil
 			}
 			e.pos += n
 			path := e.path
@@ -387,11 +362,11 @@ func (pc *ProcCtx) Close(p *sim.Proc, fd int) error {
 			var e *fdEntry
 			e, err = pc.fd(fd)
 			if err != nil {
-				return errnoString(err), nil
+				return trace.Ret(err), nil
 			}
 			err = e.file.Close(p)
 			e.file = nil // slot retired; fd numbers are never reused
-			return errnoString(err), nil
+			return trace.Ret(err), nil
 		})
 	return err
 }
@@ -404,10 +379,10 @@ func (pc *ProcCtx) Fsync(p *sim.Proc, fd int) error {
 			var e *fdEntry
 			e, err = pc.fd(fd)
 			if err != nil {
-				return errnoString(err), nil
+				return trace.Ret(err), nil
 			}
 			err = e.file.Sync(p)
-			return errnoString(err), nil
+			return trace.Ret(err), nil
 		})
 	return err
 }
@@ -421,11 +396,11 @@ func (pc *ProcCtx) Stat(p *sim.Proc, path string) (FileAttr, error) {
 			var fs Filesystem
 			fs, err = pc.kernel.Resolve(path)
 			if err != nil {
-				return errnoString(err), nil
+				return trace.Ret(err), nil
 			}
 			attr, err = fs.Stat(p, path)
 			if err != nil {
-				return errnoString(err), nil
+				return trace.Ret(err), nil
 			}
 			return "0", func(r *trace.Record) { r.Path = path }
 		})
@@ -441,10 +416,10 @@ func (pc *ProcCtx) Statfs(p *sim.Proc, path string) (StatfsInfo, error) {
 			var fs Filesystem
 			fs, err = pc.kernel.Resolve(path)
 			if err != nil {
-				return errnoString(err), nil
+				return trace.Ret(err), nil
 			}
 			info, err = fs.Statfs(p)
-			return errnoString(err), func(r *trace.Record) { r.Path = path }
+			return trace.Ret(err), func(r *trace.Record) { r.Path = path }
 		})
 	return info, err
 }
@@ -457,10 +432,10 @@ func (pc *ProcCtx) Unlink(p *sim.Proc, path string) error {
 			var fs Filesystem
 			fs, err = pc.kernel.Resolve(path)
 			if err != nil {
-				return errnoString(err), nil
+				return trace.Ret(err), nil
 			}
 			err = fs.Unlink(p, path, pc.cred)
-			return errnoString(err), func(r *trace.Record) { r.Path = path }
+			return trace.Ret(err), func(r *trace.Record) { r.Path = path }
 		})
 	return err
 }
@@ -473,7 +448,7 @@ func (pc *ProcCtx) Fcntl(p *sim.Proc, fd, cmd, arg int) error {
 		func() []string { return []string{strconv.Itoa(fd), strconv.Itoa(cmd), strconv.Itoa(arg)} },
 		func() (string, func(*trace.Record)) {
 			_, err = pc.fd(fd)
-			return errnoString(err), nil
+			return trace.Ret(err), nil
 		})
 	return err
 }
@@ -502,7 +477,7 @@ func (pc *ProcCtx) MMap(p *sim.Proc, fd int, offset, length int64) (*MMapRegion,
 			var e *fdEntry
 			e, err = pc.fd(fd)
 			if err != nil {
-				return errnoString(err), nil
+				return trace.Ret(err), nil
 			}
 			region = &MMapRegion{pc: pc, file: e.file, path: e.path, offset: offset, length: length}
 			path := e.path

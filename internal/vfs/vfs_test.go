@@ -244,7 +244,7 @@ func TestSyscallHookSeesRecords(t *testing.T) {
 	pc := k.Spawn(Cred{UID: 11, GID: 22})
 	pc.SetRank(3)
 	hook := &recordingHook{}
-	pc.AttachHook(hook)
+	pc.Tracepoint().Attach(hook)
 	env.Go("app", func(p *sim.Proc) {
 		fd, _ := pc.Open(p, "/f", OCreate|OWronly, 0o644)
 		pc.PWrite(p, fd, 4096, 8192)
@@ -275,7 +275,7 @@ func TestHookCostSlowsSyscalls(t *testing.T) {
 		k, _ := newTestKernel(env)
 		pc := k.Spawn(Cred{})
 		if withHook {
-			pc.AttachHook(&recordingHook{cost: 50 * sim.Microsecond})
+			pc.Tracepoint().Attach(&recordingHook{cost: 50 * sim.Microsecond})
 		}
 		var end sim.Time
 		env.Go("app", func(p *sim.Proc) {
@@ -306,7 +306,7 @@ func TestHookTimestampUsesLocalClock(t *testing.T) {
 	k.Mount("/", fs)
 	pc := k.Spawn(Cred{})
 	hook := &recordingHook{}
-	pc.AttachHook(hook)
+	pc.Tracepoint().Attach(hook)
 	env.Go("app", func(p *sim.Proc) {
 		pc.Open(p, "/f", OCreate|OWronly, 0o644)
 	})
@@ -321,7 +321,7 @@ func TestMMapBypassesSyscallHooks(t *testing.T) {
 	k, fs := newTestKernel(env)
 	pc := k.Spawn(Cred{})
 	hook := &recordingHook{}
-	pc.AttachHook(hook)
+	pc.Tracepoint().Attach(hook)
 	env.Go("app", func(p *sim.Proc) {
 		fd, _ := pc.Open(p, "/f", OCreate|ORdwr, 0o644)
 		region, err := pc.MMap(p, fd, 0, 1<<20)
@@ -374,13 +374,13 @@ func TestDetachHooks(t *testing.T) {
 	k, _ := newTestKernel(env)
 	pc := k.Spawn(Cred{})
 	hook := &recordingHook{}
-	pc.AttachHook(hook)
-	if !pc.Traced() {
-		t.Fatal("Traced() = false after attach")
+	pc.Tracepoint().Attach(hook)
+	if !pc.Tracepoint().Armed() {
+		t.Fatal("Armed() = false after attach")
 	}
-	pc.DetachHooks()
-	if pc.Traced() {
-		t.Fatal("Traced() = true after detach")
+	pc.Tracepoint().Detach(hook)
+	if pc.Tracepoint().Armed() {
+		t.Fatal("Armed() = true after detach")
 	}
 	env.Go("app", func(p *sim.Proc) {
 		pc.Open(p, "/f", OCreate|OWronly, 0o644)
